@@ -21,7 +21,7 @@ import numpy as np
 
 from .drl.agent import Experience
 from .dynamics import VehicleParams, step_vehicle
-from .geometry import Grid, IntersectionLayout, msd, oriented_rect, rect_cells
+from .geometry import Grid, IntersectionLayout, msd, oriented_rects, rect_cells
 
 K_MAX = 4
 N_PRIORITY_ACTIONS = math.factorial(K_MAX)
@@ -61,23 +61,35 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams,
     across neighbouring lanes on the tight turns.  Platoon members reuse
     the map at their own offset arcs, so this is the single rasterization
     the tracker ever needs.
+
+    The tube from arc -length to the movement's length + length is cut
+    into slivers of `march` metres (the last one shorter), and all of them
+    are rasterized in one batch.  A cell's bracket runs from the start of
+    the first sliver that covers it to the end of the last, plus the body
+    length.  Cells are listed in order of their first sliver, then
+    row-major.
     """
-    tube: dict[tuple[int, int], list[float]] = {}
     half = grid.zone_side / 2.0
     lo_arc, hi_arc = -params.length, movement.length + params.length
     n = int(math.ceil((hi_arc - lo_arc) / march))
-    for i in range(n):
-        tau = lo_arc + i * march
-        seg = min(march, hi_arc - tau)
-        x, y, heading = movement.pose(tau + 0.5 * seg)
-        rect = oriented_rect(x, y, seg, params.width, heading)
-        for cell in rect_cells(rect, -half, -half, grid.cell_size,
-                               grid.granularity, grid.granularity):
-            if cell in tube:
-                tube[cell][1] = tau + seg
-            else:
-                tube[cell] = [tau, tau + seg]
-    return {cell: (lo, hi + params.length) for cell, (lo, hi) in tube.items()}
+    g = grid.granularity
+    tau = lo_arc + np.arange(n) * march
+    seg = np.minimum(march, hi_arc - tau)
+    poses = np.array([movement.pose(s) for s in (tau + 0.5 * seg).tolist()])
+    slivers = oriented_rects(poses[:, 0], poses[:, 1], seg, params.width,
+                             poses[:, 2])
+    owner, rows, cols = rect_cells(slivers, -half, -half, grid.cell_size, g, g)
+    first = np.full(g * g, n)
+    last = np.full(g * g, -1)
+    np.minimum.at(first, rows * g + cols, owner)
+    np.maximum.at(last, rows * g + cols, owner)
+    cells = np.flatnonzero(last >= 0)
+    cells = cells[np.argsort(first[cells], kind="stable")]
+    lo = tau[first[cells]]
+    hi = (tau + seg)[last[cells]] + params.length
+    return {cell: bracket for cell, bracket in zip(
+        zip(*(part.tolist() for part in np.divmod(cells, g))),
+        zip(lo.tolist(), hi.tolist()))}
 
 
 @dataclass(frozen=True)

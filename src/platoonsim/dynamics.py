@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import heading_vector, msd, oriented_rect
+from .geometry import heading_vectors, msd, oriented_rects
 
 # m; a bumper this close past a bar counts as parked on it.  The stop
 # envelope lands the front on the bar only up to float error.
@@ -124,12 +124,12 @@ def max_safe_accel(budget: float, speed: float, a_max: float, dt: float) -> floa
     if disc >= 0:
         root = (-beta + math.sqrt(disc)) / (2 * alpha)
         if root >= -speed / c - 1e-12:
-            return float(np.clip(root, -a_max, a_max))
+            return min(max(root, -a_max), a_max)
     # must stop within the step: travel is v^2 / (2|a|)
     if speed <= 0:
         return -a_max
     need = speed * speed / (2 * budget)
-    return float(np.clip(-need, -a_max, -0.0))
+    return min(max(-need, -a_max), -0.0)
 
 
 def follow_gap_accel(gap: float, speed: float, leader_speed: float,
@@ -211,7 +211,7 @@ def formation_accel(gap: float, speed: float, leader_speed: float,
     a = min(a, safe)
     if speed >= params.v_max:
         a = min(a, 0.0)
-    return float(np.clip(a, -params.a_max, params.a_max))
+    return min(max(a, -params.a_max), params.a_max)
 
 
 def platoon_length(n: int, params: VehicleParams) -> float:
@@ -276,16 +276,14 @@ def rigid_offsets(n: int, params: VehicleParams) -> list[float]:
     return [i * pitch for i in range(n)]
 
 
-def platoon_footprint(poses, params: VehicleParams) -> list[np.ndarray]:
-    """Body rectangles for member poses [(x, y, heading), ...].
+def platoon_footprint(poses, params: VehicleParams) -> np.ndarray:
+    """Body rectangles (n, 4, 2) for member poses [(x, y, heading), ...].
 
     Each pose is the front bumper; the body rectangle is centred half a
     vehicle length behind it along the heading.
     """
-    rects = []
-    for x, y, heading in poses:
-        f = heading_vector(heading)
-        cx = x - 0.5 * params.length * f[0]
-        cy = y - 0.5 * params.length * f[1]
-        rects.append(oriented_rect(cx, cy, params.length, params.width, heading))
-    return rects
+    x, y, heading = np.asarray(poses, dtype=float).reshape(-1, 3).T
+    f = heading_vectors(heading)
+    half = 0.5 * params.length
+    return oriented_rects(x - half * f[:, 0], y - half * f[:, 1],
+                          params.length, params.width, heading)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, platoon_footprint
 from .geometry import IntersectionLayout, oriented_rect, rect_cells
 
 CANVAS_CELLS = 160
@@ -96,43 +96,34 @@ class FormationCanvas:
         center = rect.mean(axis=0)
         strip = oriented_rect(center[0], center[1], self.layout.formation_length,
                               self.layout.lane_width, h0)
-        cells = rect_cells(strip, -CANVAS_HALF, -CANVAS_HALF, CANVAS_CELL_SIZE,
-                           CANVAS_CELLS, CANVAS_CELLS)
-        idx = np.array(sorted(cells), dtype=np.int16)
-        return idx[:, 0], idx[:, 1]
+        # one strip per call: a batch of strips would pad each one to the
+        # extent of the longest in both axes
+        _, rows, cols = rect_cells(strip[None], -CANVAS_HALF, -CANVAS_HALF,
+                                   CANVAS_CELL_SIZE, CANVAS_CELLS, CANVAS_CELLS)
+        return rows.astype(np.int16), cols.astype(np.int16)
 
     def encode(self, vehicles, target_movement: str) -> SparseCanvas:
         """State for a pending decision on `target_movement`'s lane.
 
         `vehicles` is an iterable of CanvasVehicle covering every CAV in the
         formation and coordination zones; bodies beyond the canvas edge fall
-        off the crop.
+        off the crop.  All bodies are rasterized in one batch; where bodies
+        share a cell, the later vehicle's values win.
         """
         if target_movement not in self._masks:
             raise KeyError(f"unknown movement {target_movement!r}")
-        rows, cols, svals, tvals = [], [], [], []
         p = self.params
+        poses, speed, ttj = [], [], []
         for veh in vehicles:
-            f = (math.sin(veh.heading), math.cos(veh.heading))
-            cx = veh.x - 0.5 * p.length * f[0]
-            cy = veh.y - 0.5 * p.length * f[1]
-            cells = rect_cells(
-                oriented_rect(cx, cy, p.length, p.width, veh.heading),
-                -CANVAS_HALF, -CANVAS_HALF, CANVAS_CELL_SIZE,
-                CANVAS_CELLS, CANVAS_CELLS)
-            if not cells:
-                continue
-            speed = min(max(veh.speed / p.v_max, 0.0), 1.0)
-            ttj = min(max(veh.ttj / self.horizon, 0.0), 1.0)
-            for r, c in cells:
-                rows.append(r)
-                cols.append(c)
-                svals.append(speed)
-                tvals.append(ttj)
+            poses.append((veh.x, veh.y, veh.heading))
+            speed.append(min(max(veh.speed / p.v_max, 0.0), 1.0))
+            ttj.append(min(max(veh.ttj / self.horizon, 0.0), 1.0))
+        owner, rows, cols = rect_cells(
+            platoon_footprint(poses, p), -CANVAS_HALF, -CANVAS_HALF,
+            CANVAS_CELL_SIZE, CANVAS_CELLS, CANVAS_CELLS)
         mr, mc = self._masks[target_movement]
-        return SparseCanvas(np.asarray(rows, dtype=np.int16),
-                            np.asarray(cols, dtype=np.int16),
-                            np.asarray(svals), np.asarray(tvals), mr, mc)
+        return SparseCanvas(rows.astype(np.int16), cols.astype(np.int16),
+                            np.array(speed)[owner], np.array(ttj)[owner], mr, mc)
 
 
 def time_to_join(distance: float, speed: float, params: VehicleParams) -> float:

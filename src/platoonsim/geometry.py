@@ -30,14 +30,35 @@ def heading_vector(heading: float) -> np.ndarray:
 def oriented_rect(center_x: float, center_y: float, length: float, width: float,
                   heading: float) -> np.ndarray:
     """Corners (4, 2) of a rectangle centred at (x, y) pointing along heading."""
-    f = heading_vector(heading)
-    r = np.array([f[1], -f[0]])  # right-hand side of travel
-    c = np.array([center_x, center_y])
-    hl, hw = 0.5 * length, 0.5 * width
-    return np.array([c + f * hl + r * hw,
+    return oriented_rects([center_x], [center_y], length, width, [heading])[0]
+
+
+def heading_vectors(heading) -> np.ndarray:
+    """Unit forward vectors (n, 2) for a sequence of n compass headings.
+
+    The sines and cosines come from `math`, one heading at a time, so each
+    vector is the float `heading_vector` gives whichever numpy build runs.
+    """
+    heading = np.asarray(heading, dtype=float).ravel().tolist()
+    return np.array([(math.sin(h), math.cos(h)) for h in heading]).reshape(-1, 2)
+
+
+def oriented_rects(center_x, center_y, length, width, heading) -> np.ndarray:
+    """Corners (n, 4, 2) of n rectangles; length and width may be scalars.
+
+    Each rectangle takes the same float operations as it would alone, so
+    batching changes no corner.
+    """
+    f = heading_vectors(heading)
+    r = np.stack([f[:, 1], -f[:, 0]], axis=1)  # right-hand side of travel
+    c = np.stack([np.asarray(center_x, dtype=float),
+                  np.asarray(center_y, dtype=float)], axis=1)
+    hl = 0.5 * np.asarray(length, dtype=float).reshape(-1, 1)
+    hw = 0.5 * np.asarray(width, dtype=float).reshape(-1, 1)
+    return np.stack([c + f * hl + r * hw,
                      c + f * hl - r * hw,
                      c - f * hl - r * hw,
-                     c - f * hl + r * hw])
+                     c - f * hl + r * hw], axis=1)
 
 
 def msd(speed: float, max_decel: float) -> float:
@@ -406,60 +427,81 @@ class Grid:
         at measure zero does not count as occupancy.
         """
         h = self.zone_side / 2.0
-        out: set[tuple[int, int]] = set()
-        for rect in rects:
-            out |= rect_cells(np.asarray(rect, dtype=float), -h, -h,
-                              self.cell_size, self.granularity, self.granularity)
-        return out
+        rects = list(rects)
+        quads = np.asarray(rects, dtype=float) if rects else np.zeros((0, 4, 2))
+        _, rows, cols = rect_cells(quads, -h, -h, self.cell_size,
+                                   self.granularity, self.granularity)
+        return set(zip(rows.tolist(), cols.tolist()))
 
 
-def rect_cells(rect: np.ndarray, x0: float, y0: float, cell: float,
-               n_cols: int, n_rows: int, eps: float = 1e-9) -> set[tuple[int, int]]:
-    """Cells of a uniform grid that a convex quad overlaps with positive area.
+def rect_cells(quads, x0: float, y0: float, cell: float, n_cols: int, n_rows: int,
+               eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of a uniform grid that each convex quad overlaps with positive area.
 
-    The grid's cell (row, col) spans [x0 + col*cell, x0 + (col+1)*cell) x
-    [y0 + row*cell, ...).  Uses a separating-axis test against each candidate
-    cell inside the quad's bounding box; overlap must exceed eps on every axis.
+    `quads` is a stack (n, 4, 2) of corners in order around each quad.  The
+    grid's cell (row, col) spans [x0 + col*cell, x0 + (col+1)*cell) x
+    [y0 + row*cell, ...).  Returns int arrays (owner, row, col), one entry
+    per hit, ordered by owner and then row-major; `owner` indexes the quad,
+    so per-quad values gather as `values[owner]`.
+
+    A separating-axis test runs on every candidate cell at once: overlap
+    must exceed eps on x, on y and on both edge normals of the quad; an
+    edge of 1e-12 or shorter gives no normal.  A quad's candidates are its
+    bounding box clipped to the grid, padded to the widest box in the batch.
     """
-    xs, ys = rect[:, 0], rect[:, 1]
-    c_lo = max(0, int(math.floor((xs.min() - x0) / cell)))
-    c_hi = min(n_cols - 1, int(math.floor((xs.max() - x0) / cell + 1e-12)))
-    r_lo = max(0, int(math.floor((ys.min() - y0) / cell)))
-    r_hi = min(n_rows - 1, int(math.floor((ys.max() - y0) / cell + 1e-12)))
-    if c_hi < c_lo or r_hi < r_lo:
-        return set()
+    q = np.asarray(quads, dtype=float)
+    if q.ndim != 3 or q.shape[1:] != (4, 2):
+        raise ValueError(f"quads must be a (n, 4, 2) stack, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("quad corners must be finite")
+    xs, ys = q[:, :, 0], q[:, :, 1]
+    c_lo = np.clip(np.floor((xs.min(axis=1) - x0) / cell), 0, n_cols)
+    c_hi = np.clip(np.floor((xs.max(axis=1) - x0) / cell + 1e-12), -1, n_cols - 1)
+    r_lo = np.clip(np.floor((ys.min(axis=1) - y0) / cell), 0, n_rows)
+    r_hi = np.clip(np.floor((ys.max(axis=1) - y0) / cell + 1e-12), -1, n_rows - 1)
+    live = np.flatnonzero((c_hi >= c_lo) & (r_hi >= r_lo))
+    if live.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
 
-    # axes to test: the grid's x/y plus the rect's two edge normals
-    e0 = rect[1] - rect[0]
-    e1 = rect[3] - rect[0]
-    axes = []
-    for e in (e0, e1):
-        n = math.hypot(e[0], e[1])
-        if n > 1e-12:
-            axes.append((e[0] / n, e[1] / n))
+    # candidate cells of the live quads, broadcast as (quad, row, col)
+    def per_quad(v):
+        return v[:, None, None]
 
-    out = set()
-    for row in range(r_lo, r_hi + 1):
-        cy0 = y0 + row * cell
-        for col in range(c_lo, c_hi + 1):
-            cx0 = x0 + col * cell
-            # grid-aligned axes first (cheap interval checks)
-            if min(xs.max(), cx0 + cell) - max(xs.min(), cx0) <= eps:
-                continue
-            if min(ys.max(), cy0 + cell) - max(ys.min(), cy0) <= eps:
-                continue
-            ok = True
-            for ax, ay in axes:
-                pr = xs * ax + ys * ay
-                corners_x = np.array([cx0, cx0 + cell, cx0 + cell, cx0])
-                corners_y = np.array([cy0, cy0, cy0 + cell, cy0 + cell])
-                pc = corners_x * ax + corners_y * ay
-                if min(pr.max(), pc.max()) - max(pr.min(), pc.min()) <= eps:
-                    ok = False
-                    break
-            if ok:
-                out.add((row, col))
-    return out
+    q = q[live]
+    xs, ys = q[:, :, 0], q[:, :, 1]
+    c_lo, c_hi, r_lo, r_hi = (per_quad(v[live].astype(np.int64))
+                              for v in (c_lo, c_hi, r_lo, r_hi))
+    rows = r_lo + np.arange((r_hi - r_lo).max() + 1)[None, :, None]
+    cols = c_lo + np.arange((c_hi - c_lo).max() + 1)[None, None, :]
+    cx0 = x0 + cols * cell
+    cx1 = cx0 + cell
+    cy0 = y0 + rows * cell
+    cy1 = cy0 + cell
+    keep = (rows <= r_hi) & (cols <= c_hi)
+    # grid-aligned axes
+    keep &= (np.minimum(per_quad(xs.max(axis=1)), cx1)
+             - np.maximum(per_quad(xs.min(axis=1)), cx0) > eps)
+    keep &= (np.minimum(per_quad(ys.max(axis=1)), cy1)
+             - np.maximum(per_quad(ys.min(axis=1)), cy0) > eps)
+    # the quad's two edge normals
+    for k in (1, 3):
+        e = q[:, k] - q[:, 0]
+        norm = np.array([math.hypot(ex, ey) for ex, ey in e.tolist()])
+        has_axis = norm > 1e-12
+        norm[~has_axis] = 1.0
+        ax, ay = e[:, 0] / norm, e[:, 1] / norm
+        pr = xs * ax[:, None] + ys * ay[:, None]
+        a, b = per_quad(ax), per_quad(ay)
+        p00, p10 = cx0 * a + cy0 * b, cx1 * a + cy0 * b
+        p11, p01 = cx1 * a + cy1 * b, cx0 * a + cy1 * b
+        pc_hi = np.maximum(np.maximum(p00, p10), np.maximum(p11, p01))
+        pc_lo = np.minimum(np.minimum(p00, p10), np.minimum(p11, p01))
+        overlap = (np.minimum(per_quad(pr.max(axis=1)), pc_hi)
+                   - np.maximum(per_quad(pr.min(axis=1)), pc_lo))
+        keep &= (overlap > eps) | ~per_quad(has_axis)
+    m, dr, dc = np.nonzero(keep)
+    return live[m], r_lo[m, 0, 0] + dr, c_lo[m, 0, 0] + dc
 
 
 @lru_cache(maxsize=8)

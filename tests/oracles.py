@@ -254,6 +254,127 @@ def raster_cells(rect: np.ndarray, x0: float, y0: float, cell: float,
     return out
 
 
+# The scalar separating-axis raster the package used before it batched the
+# test: one quad at a time, one candidate cell at a time.  The package's
+# batched `geometry.rect_cells` must reproduce it cell for cell.
+
+
+def scalar_oriented_rect(center_x: float, center_y: float, length: float,
+                         width: float, heading: float) -> np.ndarray:
+    """Corners (4, 2) of a rectangle centred at (x, y) pointing along heading."""
+    f = np.array([math.sin(heading), math.cos(heading)])
+    r = np.array([f[1], -f[0]])  # right-hand side of travel
+    c = np.array([center_x, center_y])
+    hl, hw = 0.5 * length, 0.5 * width
+    return np.array([c + f * hl + r * hw,
+                     c + f * hl - r * hw,
+                     c - f * hl - r * hw,
+                     c - f * hl + r * hw])
+
+
+def scalar_rect_cells(rect: np.ndarray, x0: float, y0: float, cell: float,
+                      n_cols: int, n_rows: int, eps: float = 1e-9) -> set:
+    """Cells of a uniform grid that a convex quad overlaps with positive area.
+
+    The grid's cell (row, col) spans [x0 + col*cell, x0 + (col+1)*cell) x
+    [y0 + row*cell, ...).  Uses a separating-axis test against each candidate
+    cell inside the quad's bounding box; overlap must exceed eps on every axis.
+    """
+    xs, ys = rect[:, 0], rect[:, 1]
+    c_lo = max(0, int(math.floor((xs.min() - x0) / cell)))
+    c_hi = min(n_cols - 1, int(math.floor((xs.max() - x0) / cell + 1e-12)))
+    r_lo = max(0, int(math.floor((ys.min() - y0) / cell)))
+    r_hi = min(n_rows - 1, int(math.floor((ys.max() - y0) / cell + 1e-12)))
+    if c_hi < c_lo or r_hi < r_lo:
+        return set()
+
+    # axes to test: the grid's x/y plus the rect's two edge normals
+    e0 = rect[1] - rect[0]
+    e1 = rect[3] - rect[0]
+    axes = []
+    for e in (e0, e1):
+        n = math.hypot(e[0], e[1])
+        if n > 1e-12:
+            axes.append((e[0] / n, e[1] / n))
+
+    out = set()
+    for row in range(r_lo, r_hi + 1):
+        cy0 = y0 + row * cell
+        for col in range(c_lo, c_hi + 1):
+            cx0 = x0 + col * cell
+            # grid-aligned axes first (cheap interval checks)
+            if min(xs.max(), cx0 + cell) - max(xs.min(), cx0) <= eps:
+                continue
+            if min(ys.max(), cy0 + cell) - max(ys.min(), cy0) <= eps:
+                continue
+            ok = True
+            for ax, ay in axes:
+                pr = xs * ax + ys * ay
+                corners_x = np.array([cx0, cx0 + cell, cx0 + cell, cx0])
+                corners_y = np.array([cy0, cy0, cy0 + cell, cy0 + cell])
+                pc = corners_x * ax + corners_y * ay
+                if min(pr.max(), pc.max()) - max(pr.min(), pc.min()) <= eps:
+                    ok = False
+                    break
+            if ok:
+                out.add((row, col))
+    return out
+
+
+def scalar_path_cell_spans(movement, grid, params, march: float = 0.05) -> dict:
+    """Cell -> (s_first, s_last) of a movement's path tube, one sliver at a time."""
+    tube = {}
+    half = grid.zone_side / 2.0
+    lo_arc, hi_arc = -params.length, movement.length + params.length
+    n = int(math.ceil((hi_arc - lo_arc) / march))
+    for i in range(n):
+        tau = lo_arc + i * march
+        seg = min(march, hi_arc - tau)
+        x, y, heading = movement.pose(tau + 0.5 * seg)
+        rect = scalar_oriented_rect(x, y, seg, params.width, heading)
+        for cell in scalar_rect_cells(rect, -half, -half, grid.cell_size,
+                                      grid.granularity, grid.granularity):
+            if cell in tube:
+                tube[cell][1] = tau + seg
+            else:
+                tube[cell] = [tau, tau + seg]
+    return {cell: (lo, hi + params.length) for cell, (lo, hi) in tube.items()}
+
+
+def scalar_canvas(vehicles, target_movement: str, layout, params,
+                  horizon: float, cells: int = 160, cell: float = 2.5):
+    """(dense 4-channel canvas, vehicle-cell entry count), one body at a time.
+
+    Channels as in the formation canvas: occupancy, speed fraction,
+    time-to-join fraction, target-lane mask.  Where bodies share a cell the
+    later vehicle's values win.
+    """
+    half = 0.5 * cells * cell
+    out = np.zeros((4, cells, cells))
+    nnz = 0
+    for veh in vehicles:
+        f = (math.sin(veh.heading), math.cos(veh.heading))
+        cx = veh.x - 0.5 * params.length * f[0]
+        cy = veh.y - 0.5 * params.length * f[1]
+        hit = scalar_rect_cells(
+            scalar_oriented_rect(cx, cy, params.length, params.width, veh.heading),
+            -half, -half, cell, cells, cells)
+        speed = min(max(veh.speed / params.v_max, 0.0), 1.0)
+        ttj = min(max(veh.ttj / horizon, 0.0), 1.0)
+        for r, c in hit:
+            out[0:3, r, c] = (1.0, speed, ttj)
+        nnz += len(hit)
+    movement = layout.movement(target_movement)
+    x0, y0, h0 = movement.pose(0.0)
+    x1, y1, _ = movement.pose(-layout.formation_length)
+    center = np.array([[x0, y0], [x1, y1]]).mean(axis=0)
+    strip = scalar_oriented_rect(center[0], center[1], layout.formation_length,
+                                 layout.lane_width, h0)
+    for r, c in scalar_rect_cells(strip, -half, -half, cell, cells, cells):
+        out[3, r, c] = 1.0
+    return out, nnz
+
+
 # ---------------------------------------------------------------------------
 # neural-network references
 

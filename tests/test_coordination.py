@@ -19,7 +19,9 @@ from platoonsim.coordination import (BAR_MARGIN, COORDINATED,
 from platoonsim.dynamics import (VehicleParams, free_accel, step_vehicle,
                                  stop_bar_accel)
 from platoonsim.geometry import (ConflictMap, Grid, default_layout, msd,
-                                 oriented_rect, rect_cells)
+                                 oriented_rect)
+
+from oracles import scalar_path_cell_spans
 
 PARAMS = VehicleParams()
 LAYOUT = default_layout()
@@ -85,8 +87,7 @@ def test_path_spans_bracket_direct_rasterization():
     rect = oriented_rect(x - 0.5 * PARAMS.length * math.sin(heading),
                          y - 0.5 * PARAMS.length * math.cos(heading),
                          PARAMS.length, PARAMS.width, heading)
-    cells = set(rect_cells(rect, -7.5, -7.5, GRID.cell_size,
-                           GRID.granularity, GRID.granularity))
+    cells = GRID.occupied_cells([rect])
     assert cells == {cell for cell, (lo, hi) in spans.items() if lo <= s <= hi}
 
 
@@ -96,6 +97,14 @@ def test_path_spans_are_ordered_and_bounded():
         s_end = LAYOUT.movement(key).length + PARAMS.length
         for cell, (lo, hi) in spans.items():
             assert 0.0 <= lo <= hi <= s_end + march + 1e-9
+
+
+@pytest.mark.parametrize("g", (3, 6, 12, 24))
+def test_path_spans_match_scalar_march(g):
+    grid = Grid(g)
+    for movement in LAYOUT.movements:
+        assert (path_cell_spans(movement, grid, PARAMS)
+                == scalar_path_cell_spans(movement, grid, PARAMS)), movement.key
 
 
 # -- priority actions -----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platoonsim.config import SimConfig
 from platoonsim.dynamics import VehicleParams
 from platoonsim.formation import (CANVAS_CELLS, CanvasVehicle, FactorNormalizer,
                                   FormationCanvas, FuelModel, SparseCanvas,
@@ -14,6 +15,9 @@ from platoonsim.formation import (CANVAS_CELLS, CanvasVehicle, FactorNormalizer,
                                   max_platoon_size_for, penalized_wait,
                                   time_to_join)
 from platoonsim.geometry import default_layout
+from platoonsim.simulation import run_episode
+
+from oracles import scalar_canvas
 
 PARAMS = VehicleParams()
 LAYOUT = default_layout()
@@ -127,6 +131,29 @@ def test_dense_matches_manual_scatter():
     manual[2, state.rows, state.cols] = state.ttj_vals
     manual[3, state.mask_rows, state.mask_cols] = 1.0
     np.testing.assert_array_equal(dense, manual)
+
+
+def test_encode_matches_scalar_oracle_on_episode_snapshots(monkeypatch):
+    # every decision state of a short calibrating coor-plt desk episode
+    snapshots = []
+    encode = FormationCanvas.encode
+
+    def recording(canvas, vehicles, target_movement):
+        vehicles = list(vehicles)
+        snapshots.append((canvas, vehicles, target_movement))
+        return encode(canvas, vehicles, target_movement)
+
+    monkeypatch.setattr(FormationCanvas, "encode", recording)
+    run_episode(SimConfig.desk(condition=2, T=90.0, policy="coor-plt"),
+                seed=5, calibrating=True, normalizer=FactorNormalizer())
+    assert len(snapshots) >= 10
+    assert sum(len(vehicles) for _, vehicles, _ in snapshots) >= 100
+    for canvas, vehicles, target in snapshots:
+        state = encode(canvas, vehicles, target)
+        want, nnz = scalar_canvas(vehicles, target, canvas.layout,
+                                  canvas.params, canvas.horizon)
+        assert state.rows.size == nnz
+        assert np.array_equal(state.dense(), want)
 
 
 # -- time to join -------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim import geometry as geo
 
-from oracles import analytic_conflicts, euler_stop_distance, raster_cells
+from oracles import (analytic_conflicts, euler_stop_distance, raster_cells,
+                     scalar_oriented_rect, scalar_rect_cells)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,78 @@ def test_rect_outside_zone_occupies_nothing():
     g = geo.Grid(12)
     rect = geo.oriented_rect(0.0, -30.0, 5.0, 1.8, heading=0.0)
     assert g.occupied_cells([rect]) == set()
+
+
+# -- batched raster against the scalar oracle -----------------------------------
+
+# (x0, cell, cells per side): the formation canvas and four zone grids
+RASTER_GRIDS = [(-200.0, 2.5, 160)] + [(-7.5, 15.0 / g, g) for g in (3, 6, 12, 24)]
+
+
+@st.composite
+def grid_quad(draw, grid):
+    """A quad near `grid`: partly or fully off it now and then."""
+    x0, cell, n = grid
+    kind = draw(st.sampled_from(("body", "snapped", "sliver", "parallelogram")))
+    if kind == "snapped":
+        # axis-aligned, every corner on a cell edge, up to two cells off-grid
+        i, k = draw(st.integers(-2, n + 2)), draw(st.integers(-2, n + 2))
+        j, m = i + draw(st.integers(0, 6)), k + draw(st.integers(0, 6))
+        xa, xb, ya, yb = (x0 + v * cell for v in (i, j, k, m))
+        return np.array([[xa, ya], [xb, ya], [xb, yb], [xa, yb]])
+    reach = 2 * cell + 6.0
+    cx = draw(st.floats(x0 - reach, x0 + n * cell + reach))
+    cy = draw(st.floats(x0 - reach, x0 + n * cell + reach))
+    heading = draw(st.one_of(st.floats(0, 2 * math.pi),
+                             st.sampled_from((0.0, 0.5 * math.pi, math.pi))))
+    if kind == "body":
+        return scalar_oriented_rect(cx, cy, draw(st.floats(0, 12)),
+                                    draw(st.floats(0, 4)), heading)
+    if kind == "sliver":
+        # the 0.05 m march step, or the shorter last step at a path's end
+        length = draw(st.one_of(st.just(0.05), st.floats(0, 0.05)))
+        return scalar_oriented_rect(cx, cy, length, 1.8, heading)
+    u = np.array(draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2)))
+    v = np.array(draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2)))
+    p0 = np.array([cx, cy])
+    return np.array([p0, p0 + u, p0 + u + v, p0 + v])
+
+
+@st.composite
+def raster_case(draw):
+    grid = draw(st.sampled_from(RASTER_GRIDS))
+    return grid, draw(st.lists(grid_quad(grid), min_size=1, max_size=6))
+
+
+@given(raster_case())
+@settings(max_examples=300, deadline=None)
+def test_batched_rect_cells_matches_scalar_oracle(case):
+    (x0, cell, n), quads = case
+    owner, rows, cols = geo.rect_cells(np.array(quads), x0, x0, cell, n, n)
+    assert np.all(np.diff(owner) >= 0)
+    for k, quad in enumerate(quads):
+        mine = list(zip(rows[owner == k].tolist(), cols[owner == k].tolist()))
+        assert mine == sorted(scalar_rect_cells(quad, x0, x0, cell, n, n)), k
+
+
+def test_oriented_rects_reproduce_scalar_corners():
+    rng = np.random.default_rng(3)
+    cx, cy = rng.uniform(-200, 200, (2, 500))
+    length, heading = rng.uniform(0, 6, 500), rng.uniform(0, 2 * math.pi, 500)
+    got = geo.oriented_rects(cx, cy, length, 1.8, heading)
+    want = [scalar_oriented_rect(*args, 1.8, h)
+            for *args, h in zip(cx, cy, length, heading)]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_rect_cells_wants_a_stack_of_finite_quads():
+    rect = geo.oriented_rect(0.0, 0.0, 5.0, 1.8, 0.0)
+    with pytest.raises(ValueError):
+        geo.rect_cells(rect, -7.5, -7.5, 1.25, 12, 12)
+    with pytest.raises(ValueError):
+        geo.rect_cells(np.full((1, 4, 2), np.nan), -7.5, -7.5, 1.25, 12, 12)
+    owner, rows, cols = geo.rect_cells(np.zeros((0, 4, 2)), -7.5, -7.5, 1.25, 12, 12)
+    assert owner.size == rows.size == cols.size == 0
 
 
 def test_grid_validation():
