@@ -308,10 +308,6 @@ class CoordinationTracker:
     def _passed(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
         return view.front > region.clear(first) + self._tail_offset(view)
 
-    def _occupies(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
-        return (region.enter(first) <= view.front
-                <= region.clear(first) + self._tail_offset(view))
-
     def _committed(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
         """Cannot stop before the region's first cell any more."""
         bar = region.enter(first) - BAR_MARGIN

@@ -37,10 +37,6 @@ class Sequential:
                 layer.needs_input_grad = False
                 break
 
-    @property
-    def out_dim(self) -> int:
-        return self.shapes[-1][0]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)

@@ -254,14 +254,20 @@ class Vehicle:
 
 @dataclass
 class Platoon:
-    """An ordered group of vehicles in one movement, led by its first member."""
+    """An ordered group of vehicles in one movement, led by its first member.
+
+    Once released it is one rigid body: arc, speed and accel are the
+    nominal head's, and member k sits rigid_offsets[k] behind arc.
+    """
 
     pid: int
     movement: str
     target_size: int
     members: list[int] = field(default_factory=list)  # vehicle ids, front first
-    formed: bool = False
     released: bool = False
+    arc: float = 0.0             # nominal head's front arc once released
+    speed: float = 0.0
+    accel: float = 0.0
     decision_time: float | None = None
     release_time: float | None = None
 

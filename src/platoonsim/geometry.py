@@ -164,10 +164,6 @@ class Movement:
         return self.path.length
 
     @property
-    def entry_point(self) -> np.ndarray:
-        return self.path.point(0.0)
-
-    @property
     def entry_heading(self) -> float:
         return self.path.heading(0.0)
 
@@ -265,12 +261,6 @@ class IntersectionLayout:
     @property
     def movement_keys(self) -> tuple[str, ...]:
         return tuple(m.key for m in self._movements)
-
-    def lane_entry_point(self, movement: Movement) -> np.ndarray:
-        """Upstream end of the movement's formation lane."""
-        back = -self.formation_length
-        x, y, _ = movement.pose(back)
-        return np.array([x, y])
 
 
 def _rotated_path(path, k: int):
@@ -413,12 +403,6 @@ class Grid:
     @property
     def cell_size(self) -> float:
         return self.zone_side / self.granularity
-
-    def cell_bounds(self, row: int, col: int) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of a cell in zone coordinates."""
-        h = self.zone_side / 2.0
-        cs = self.cell_size
-        return (-h + col * cs, -h + row * cs, -h + (col + 1) * cs, -h + (row + 1) * cs)
 
     def occupied_cells(self, rects) -> set[tuple[int, int]]:
         """Cells overlapped with positive area by any rectangle in `rects`.

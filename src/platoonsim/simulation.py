@@ -17,6 +17,11 @@ Vehicle routes are one-dimensional: route_pos is the front-bumper arc with
 0 at the formation-zone entry, L at the stop line, and L + zone path length
 at the start of the exit lane.  The coordination tracker works in zone
 coordinates (arc from the stop line), so views translate by -L.
+
+A released platoon is one rigid body: Platoon.arc is its nominal head's
+front arc and each member stays at its rigid offset behind it.  The nominal
+head arc runs on after the head exits, so the tracker sees the whole body
+until its tail clears.
 """
 
 from __future__ import annotations
@@ -357,12 +362,6 @@ class Simulation:
             self._next_pid += 1
             platoon = Platoon(pid=pid, movement=mk, target_size=size,
                               decision_time=t)
-            for veh in lane.queue:
-                if len(platoon.members) >= size:
-                    break
-                if veh.platoon_id is None:
-                    veh.platoon_id = pid
-                    platoon.members.append(veh.vid)
             lane.forming = platoon
             self.platoons[pid] = platoon
             hist = self.metrics.size_histogram
@@ -426,13 +425,12 @@ class Simulation:
             for vid in platoon.members[prefix:]:
                 self.vehicles[vid].platoon_id = None
             platoon.members = platoon.members[:prefix]
-            lead = self.vehicles[platoon.members[0]]
+            platoon.arc, platoon.speed = head.route_pos, head.speed
             for off, vid in zip(rigid_offsets(platoon.size, self.params),
                                 platoon.members):
                 veh = self.vehicles[vid]
-                veh.route_pos = lead.route_pos - off
-                veh.speed = lead.speed
-            platoon.formed = True
+                veh.route_pos = platoon.arc - off
+                veh.speed = platoon.speed
             platoon.released = True
             platoon.release_time = t
             lane.released = platoon
@@ -440,26 +438,10 @@ class Simulation:
 
     # -- layer 2: zone coordination ----------------------------------------------
 
-    def _lead_vehicle(self, platoon: Platoon) -> Vehicle | None:
-        """Front-most member still in the network."""
-        for vid in platoon.members:
-            veh = self.vehicles[vid]
-            if not veh.exited:
-                return veh
-        return None
-
     def _views(self) -> list:
-        views = []
-        for mk in self.shared.movements:
-            platoon = self.lanes[mk].released
-            if platoon is not None:
-                lead = self._lead_vehicle(platoon)
-                if lead is None:
-                    continue
-                views.append(PlatoonView(platoon.pid, mk,
-                                         lead.route_pos - self.L,
-                                         lead.speed, platoon.size))
-        return views
+        return [PlatoonView(lane.released.pid, mk, lane.released.arc - self.L,
+                            lane.released.speed, lane.released.size)
+                for mk, lane in self.lanes.items() if lane.released is not None]
 
     def _decide_priority(self, state, mask, members) -> int:
         if self.layer2 is not None and not self.calibrating:
@@ -476,10 +458,6 @@ class Simulation:
 
     # -- deadlock pass -------------------------------------------------------------
 
-    def _platoon_speed(self, pid: int) -> float:
-        lead = self._lead_vehicle(self.platoons[pid])
-        return lead.speed if lead is not None else float("inf")
-
     def _origin_experience(self, pid: int):
         window = self.window_of.get(pid)
         if window is None:
@@ -490,7 +468,7 @@ class Simulation:
 
     def _deadlock_pass(self, t: float, plan) -> None:
         stationary = {pid: blockers for pid, blockers in plan.blocking.items()
-                      if blockers and self._platoon_speed(pid) < STANDSTILL}
+                      if blockers and self.platoons[pid].speed < STANDSTILL}
         if not stationary:
             return
         cycles = detect_deadlocks(build_wait_graph(stationary))
@@ -575,34 +553,31 @@ class Simulation:
         commands: dict[int, float] = {}
         for mk in self.shared.movements:
             lane = self.lanes[mk]
+            body = lane.released
+            if body is not None:
+                # a lane releases only once its previous platoon has left,
+                # so the body leads the lane
+                body.accel = free_accel(body.speed, p)
+                bar = bars.get(body.pid)
+                if bar is not None:
+                    body.accel = min(body.accel, stop_bar_accel(
+                        self.L + bar - body.arc, body.speed, p, dt))
             prev = None
-            led: set[int] = set()
             for veh in lane.queue:
-                platoon = (self.platoons.get(veh.platoon_id)
-                           if veh.platoon_id is not None else None)
-                if platoon is not None and platoon.released:
-                    # front-most member still in the lane leads; the nominal
-                    # head may already have crossed the exit threshold
-                    if platoon.pid in led:
-                        prev = veh   # rigid follower, integrated with its leader
-                        continue
-                    led.add(platoon.pid)
+                if body is not None and veh.platoon_id == body.pid:
+                    prev = veh
+                    continue
+                platoon = self.platoons.get(veh.platoon_id)   # forming, if any
                 a = free_accel(veh.speed, p)
                 if prev is not None:
                     gap = prev.route_pos - p.length - veh.route_pos
-                    if platoon is not None and not platoon.released \
-                            and veh.vid != platoon.members[0]:
+                    if platoon is not None and veh.vid != platoon.members[0]:
                         a = formation_accel(gap, veh.speed, prev.speed,
                                             commands[prev.vid], p, dt)
                     else:
                         a = min(a, follow_gap_accel(gap, veh.speed, prev.speed,
                                                     p.headway_lane, p, dt))
-                if platoon is not None and platoon.released:
-                    bar = bars.get(platoon.pid)
-                    if bar is not None:
-                        a = min(a, stop_bar_accel(self.L + bar - veh.route_pos,
-                                                  veh.speed, p, dt))
-                elif self._must_hold(veh, t):
+                if self._must_hold(veh, t):
                     a = min(a, stop_bar_accel(self.L - veh.route_pos,
                                               veh.speed, p, dt))
                 commands[veh.vid] = a
@@ -615,19 +590,17 @@ class Simulation:
         self._swept = []   # (vehicle, lane row, start arc, start speed, accel, travel)
         for row, mk in enumerate(self.shared.movements):
             lane = self.lanes[mk]
-            lead_motion = {}  # pid -> (new_speed, distance, accel)
+            body = lane.released
+            if body is not None:
+                body.speed, body_dist = step_vehicle(body.speed, body.accel,
+                                                     dt, p.v_max)
+                body.arc += body_dist
             for veh in lane.queue:
-                platoon = (self.platoons.get(veh.platoon_id)
-                           if veh.platoon_id is not None else None)
-                rigid = (platoon is not None and platoon.released
-                         and platoon.pid in lead_motion)
-                if rigid:
-                    new_speed, dist, a = lead_motion[platoon.pid]
+                if body is not None and veh.platoon_id == body.pid:
+                    a, new_speed, dist = body.accel, body.speed, body_dist
                 else:
                     a = commands[veh.vid]
                     new_speed, dist = step_vehicle(veh.speed, a, dt, p.v_max)
-                    if platoon is not None and platoon.released:
-                        lead_motion[platoon.pid] = (new_speed, dist, a)
                 self._swept.append((veh, row, veh.route_pos, veh.speed, a, dist))
                 burn = self.fuel.increment(veh.speed, a, dt)
                 veh.fuel_total += burn

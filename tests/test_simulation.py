@@ -105,7 +105,7 @@ def test_fixed_platoon_forms_releases_and_exits():
     pids = {v.platoon_id for v in sim.vehicles.values()}
     assert len(pids) == 1 and None not in pids
     platoon = sim.platoons[pids.pop()]
-    assert platoon.formed and platoon.released
+    assert platoon.released
     assert platoon.release_time > 0.0
     m.check_conservation()
 
@@ -127,22 +127,37 @@ def test_followers_converge_to_platoon_pitch():
     sim = scripted_sim({0.0: {"west-east": 3}})
     pitch = sim.params.length + sim.params.headway_platoon
     spacings = []
+    placed = []   # (member arc, arc the tracker's view puts it at)
+    after_head_exit = []
     step = sim._step
+    tracker_step = sim.tracker.step
 
     def watching(i):
         step(i)
         platoon = next(iter(sim.platoons.values()), None)
         if platoon is None or not platoon.released:
             return
-        members = [sim.vehicles[vid] for vid in platoon.members]
         # exit is per vehicle and an exited body stops moving, so the
-        # rigid pitch is only defined while every member is in the network
-        if any(v.exited for v in members):
-            return
+        # rigid pitch holds among the members still in the network
+        members = [v for v in (sim.vehicles[vid] for vid in platoon.members)
+                   if not v.exited]
         spacings.append([a.route_pos - b.route_pos
                          for a, b in zip(members, members[1:])])
 
+    def viewing(views, t, decide_fn):
+        # the view is the whole rigid body at its nominal head, also after
+        # the head itself has exited
+        for view in views:
+            members = [sim.vehicles[vid] for vid in sim.platoons[view.pid].members]
+            assert view.size == len(members)
+            for k, veh in enumerate(members):
+                if not veh.exited:
+                    placed.append((veh.route_pos, sim.L + view.front - k * pitch))
+            after_head_exit.append(members[0].exited)
+        return tracker_step(views, t, decide_fn)
+
     sim._step = watching
+    sim.tracker.step = viewing
     sim.run()
     platoon = next(iter(sim.platoons.values()))
     # formed to the full target size, not split by the patience escape
@@ -153,6 +168,9 @@ def test_followers_converge_to_platoon_pitch():
     for row in spacings:
         for spacing in row:
             assert spacing == pytest.approx(pitch)
+    assert placed and any(after_head_exit)
+    for arc, nominal in placed:
+        assert arc == pytest.approx(nominal)
 
 
 def test_lane_headway_never_violated_under_signal():
