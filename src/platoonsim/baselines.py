@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordination import PERMS, path_cell_spans
+from .coordination import PERMS, PathRaster
+# perfbench/instrument.py wraps path_cell_spans under this module's name
+from .coordination import path_cell_spans  # noqa: F401
 from .dynamics import VehicleParams, free_accel, step_vehicle
-from .geometry import Grid, IntersectionLayout
 
 POLICY_KINDS = ("coor-plt", "fp", "rc", "webster", "fcfs-reservation")
 
@@ -190,18 +191,13 @@ class ReservationManager:
     vehicles simply ask again on a later step.
     """
 
-    def __init__(self, layout: IntersectionLayout, grid: Grid,
-                 params: VehicleParams, dt: float,
-                 spans: dict | None = None, buffer_steps: int = 1):
-        self.spans = spans if spans is not None else {
-            m.key: path_cell_spans(m, grid, params)
-            for m in layout.movements}
-        self._exit_front = {key: max(hi for _, hi in sp.values())
-                            for key, sp in self.spans.items()}
+    def __init__(self, raster: PathRaster, params: VehicleParams, dt: float,
+                 buffer_steps: int = 1):
+        self.raster = raster
         self.params = params
         self.dt = dt
         self.buffer_steps = buffer_steps
-        self._tiles: dict = {}        # (cell, step) -> vid
+        self._tiles: dict = {}        # tile -> vid, see tiles_for
         self._grants: dict = {}       # vid -> (start_step, profile)
         self._first_seen: dict = {}
         self._seq = 0
@@ -213,7 +209,7 @@ class ReservationManager:
         cell of the movement."""
         profile = [(front, speed)]
         f, v = front, speed
-        exit_front = self._exit_front[movement_key]
+        exit_front = self.raster.reach[self.raster.row[movement_key]]
         while f <= exit_front:
             v, d = step_vehicle(v, free_accel(v, self.params), self.dt,
                                 self.params.v_max)
@@ -228,18 +224,18 @@ class ReservationManager:
         The step from state j to j+1 sweeps the front across
         [front_j, front_j+1]; a cell is involved when that interval meets
         its occupancy bracket, and both endpoint steps are reserved so a
-        cell is never crossed between unreserved samples.
+        cell is never crossed between unreserved samples.  A tile is the
+        int step * g * g + cell, with the raster's cell id r * g + c.
         """
-        spans = self.spans[movement_key]
-        tiles = set()
-        for j in range(len(profile) - 1):
-            f0, f1 = profile[j][0], profile[j + 1][0]
-            for cell, (lo, hi) in spans.items():
-                if lo <= f1 and hi >= f0:
-                    for b in range(-self.buffer_steps,
-                                   self.buffer_steps + 2):
-                        tiles.add((cell, start_step + j + b))
-        return tiles
+        raster = self.raster
+        row = raster.row[movement_key]
+        fronts = np.array([f for f, _ in profile])
+        j, slot = np.nonzero((raster.lo[row] <= fronts[1:, None])
+                             & (raster.hi[row] >= fronts[:-1, None]))
+        steps = start_step + j[:, None] + np.arange(-self.buffer_steps,
+                                                    self.buffer_steps + 2)
+        tiles = steps * raster.grid.granularity ** 2 + raster.ids[row, slot][:, None]
+        return set(tiles.ravel().tolist())
 
     def step(self, requests, t_index: int) -> dict:
         """Process one step's crossing requests.
@@ -272,7 +268,8 @@ class ReservationManager:
 
     def prune(self, t_index: int) -> None:
         """Forget tiles that can no longer constrain any new request."""
-        horizon = t_index - self.buffer_steps - 1
-        stale = [tile for tile in self._tiles if tile[1] < horizon]
+        # tile < horizon * g * g exactly when the tile's step < horizon
+        horizon = (t_index - self.buffer_steps - 1) * self.raster.grid.granularity ** 2
+        stale = [tile for tile in self._tiles if tile < horizon]
         for tile in stale:
             del self._tiles[tile]

@@ -79,8 +79,6 @@ class SimConfig:
     seed: int = 0
     condition: int = 1          # demand condition 1 (moderate), 2 (high), 3 (switching)
     policy: str = "coor-plt"
-    k_max: int = 4
-    crop_policy: str = "centered"
     fuel_idle: float = 0.5
     fuel_rolling: float = 0.25
     fuel_accel: float = 0.1
@@ -98,10 +96,6 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICY_KINDS}")
         if self.condition not in (1, 2, 3):
             raise ValueError(f"condition must be 1, 2 or 3, got {self.condition}")
-        if self.k_max != 4:
-            raise ValueError("the priority action head is built for exactly 4 slots")
-        if self.crop_policy != "centered":
-            raise ValueError(f"unsupported crop policy {self.crop_policy!r}")
         for name in ("l_c", "w_c", "l_lane", "S", "L", "a_max", "v_max", "d_h",
                      "d_h_hat", "T", "alpha", "adam_lr", "T_m", "dt", "switch_time"):
             if getattr(self, name) <= 0:

@@ -34,6 +34,9 @@ COORDINATED = 3
 # stop this far short of a contested region's first cell
 BAR_MARGIN = 0.05
 
+# m; arc length of one rasterized slice of a movement's path tube
+SLIVER = 0.05
+
 
 class SafetyFault(RuntimeError):
     """A platoon can no longer stop before cells it has not been granted."""
@@ -49,8 +52,7 @@ class StatusLabel:
 # -- static conflict-region precomputation ------------------------------------
 
 
-def path_cell_spans(movement, grid: Grid, params: VehicleParams,
-                    march: float = 0.05) -> dict:
+def path_cell_spans(movement, grid: Grid, params: VehicleParams) -> dict:
     """For one vehicle riding a movement: cell -> (s_first, s_last).
 
     s is the front-bumper arc length; the pair brackets every arc at which
@@ -59,11 +61,12 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams,
     a front bumper at arc s covers tube arcs [s - length, s].  A rigid
     rectangle pivoted at the bumper heading would instead swing its tail
     across neighbouring lanes on the tight turns.  Platoon members reuse
-    the map at their own offset arcs, so this is the single rasterization
-    the tracker ever needs.
+    the brackets at their own offset arcs.  PathRaster.build packs these
+    dicts into the arrays that the tracker, the tile reservations and the
+    safety audit read.
 
     The tube from arc -length to the movement's length + length is cut
-    into slivers of `march` metres (the last one shorter), and all of them
+    into slivers of SLIVER metres (the last one shorter), and all of them
     are rasterized in one batch.  A cell's bracket runs from the start of
     the first sliver that covers it to the end of the last, plus the body
     length.  Cells are listed in order of their first sliver, then
@@ -71,10 +74,10 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams,
     """
     half = grid.zone_side / 2.0
     lo_arc, hi_arc = -params.length, movement.length + params.length
-    n = int(math.ceil((hi_arc - lo_arc) / march))
+    n = int(math.ceil((hi_arc - lo_arc) / SLIVER))
     g = grid.granularity
-    tau = lo_arc + np.arange(n) * march
-    seg = np.minimum(march, hi_arc - tau)
+    tau = lo_arc + np.arange(n) * SLIVER
+    seg = np.minimum(SLIVER, hi_arc - tau)
     poses = np.array([movement.pose(s) for s in (tau + 0.5 * seg).tolist()])
     slivers = oriented_rects(poses[:, 0], poses[:, 1], seg, params.width,
                              poses[:, 2])
@@ -94,47 +97,75 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams,
 
 @dataclass(frozen=True)
 class SharedRegion:
-    """Zone cells contested by a pair of movements, with entry/clear arcs.
+    """Zone cells two movements both sweep, seen from one of them.
 
-    enter/clear are front-bumper arcs of a single body: the body first touches
-    a shared cell at `enter` and has left them all beyond `clear`.  A platoon
-    tail adds its rigid offset to the clear arc.
+    enter/clear are that movement's front-bumper arcs of a single body: it
+    first touches a shared cell at `enter` and has left them all beyond
+    `clear`.  A platoon tail adds its rigid offset to the clear arc.
     """
 
     cells: frozenset
-    enter_a: float
-    clear_a: float
-    enter_b: float
-    clear_b: float
-
-    def enter(self, first: bool) -> float:
-        return self.enter_a if first else self.enter_b
-
-    def clear(self, first: bool) -> float:
-        return self.clear_a if first else self.clear_b
+    enter: float
+    clear: float
 
 
-def build_regions(layout: IntersectionLayout, grid: Grid,
-                  params: VehicleParams, march: float = 0.05,
-                  spans: dict | None = None) -> dict:
-    """Shared regions for every movement pair that contests at least one cell."""
-    if spans is None:
-        spans = {m.key: path_cell_spans(m, grid, params, march)
-                 for m in layout.movements}
-    regions = {}
-    keys = sorted(spans)
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1:]:
-            shared = spans[ka].keys() & spans[kb].keys()
-            if not shared:
-                continue
-            regions[(ka, kb)] = SharedRegion(
-                cells=frozenset(shared),
-                enter_a=min(spans[ka][c][0] for c in shared),
-                clear_a=max(spans[ka][c][1] for c in shared),
-                enter_b=min(spans[kb][c][0] for c in shared),
-                clear_b=max(spans[kb][c][1] for c in shared))
-    return regions
+@dataclass(frozen=True)
+class PathRaster:
+    """Every movement's cell brackets on one grid, and their shared regions.
+
+    Row k of `ids`, `lo` and `hi` holds movement `movements[k]`: its cells
+    r * g + c in row-major order with the front-arc bracket of each, padded
+    with cell -1 and the empty bracket (+inf, -inf), which no arc or swept
+    front interval meets.  `reach[k]` is the row's largest hi, the front arc
+    beyond which the body has left the zone.  `regions[(a, b)]` is the
+    region movement a shares with b, seen from a; (b, a) holds the same
+    cells seen from b.  Pairs that share no cell have no entry.
+    """
+
+    grid: Grid
+    movements: tuple       # movement keys, sorted
+    row: dict              # movement key -> row
+    ids: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    reach: tuple
+    regions: dict
+
+    @classmethod
+    def build(cls, layout: IntersectionLayout, grid: Grid,
+              params: VehicleParams) -> "PathRaster":
+        g = grid.granularity
+        movements = tuple(sorted(m.key for m in layout.movements))
+        rows = [sorted(path_cell_spans(layout.movement(mk), grid, params).items())
+                for mk in movements]
+        width = max(len(items) for items in rows)
+        ids = np.full((len(rows), width), -1, dtype=np.int64)
+        lo = np.full((len(rows), width), np.inf)
+        hi = np.full((len(rows), width), -np.inf)
+        for k, items in enumerate(rows):
+            ids[k, :len(items)] = [r * g + c for (r, c), _ in items]
+            lo[k, :len(items)] = [bracket[0] for _, bracket in items]
+            hi[k, :len(items)] = [bracket[1] for _, bracket in items]
+        # occupied[k, cell]: movement k covers the cell; padding ids (-1)
+        # land in the extra last column, which stays False
+        occupied = np.zeros((len(rows), g * g + 1), dtype=bool)
+        occupied[np.arange(len(rows))[:, None], ids] = True
+        occupied[:, -1] = False
+        regions = {}
+        for a, ka in enumerate(movements):
+            for b, kb in enumerate(movements):
+                shared = occupied[b, ids[a]]
+                if a != b and shared.any():
+                    regions[(ka, kb)] = SharedRegion(
+                        frozenset(divmod(c, g) for c in ids[a, shared].tolist()),
+                        float(lo[a, shared].min()), float(hi[a, shared].max()))
+        return cls(grid, movements, {mk: k for k, mk in enumerate(movements)},
+                   ids, lo, hi, tuple(hi.max(axis=1).tolist()), regions)
+
+    def cells(self, row: int, mask: np.ndarray) -> set:
+        """(r, c) of the cells a mask over one movement's row selects."""
+        return {divmod(c, self.grid.granularity)
+                for c in self.ids[row, mask].tolist() if c >= 0}
 
 
 # -- priority actions ----------------------------------------------------------
@@ -266,24 +297,12 @@ class CoordinationTracker:
     invoked synchronously whenever a new conflict group must pick an order.
     """
 
-    def __init__(self, layout: IntersectionLayout, grid: Grid,
-                 params: VehicleParams, dt: float, k_max: int = K_MAX,
-                 spans: dict | None = None, regions: dict | None = None):
-        if k_max != K_MAX:
-            raise ValueError("the fixed action head supports exactly 4 slots")
+    def __init__(self, layout: IntersectionLayout, raster: PathRaster,
+                 params: VehicleParams, dt: float):
         self.layout = layout
-        self.grid = grid
+        self.raster = raster   # immutable; episodes share it
         self.params = params
         self.dt = dt
-        # spans and regions are immutable once built; episodes share them
-        self.spans = spans if spans is not None else {
-            m.key: path_cell_spans(m, grid, params) for m in layout.movements}
-        self.regions = (regions if regions is not None
-                        else build_regions(layout, grid, params, spans=self.spans))
-        self._region_of = {}
-        for (ka, kb), region in self.regions.items():
-            self._region_of[(ka, kb)] = (region, True)
-            self._region_of[(kb, ka)] = (region, False)
         self._groups: dict[int, _Group] = {}
         self._active_groups: dict[int, set] = {}
         self._last_group: dict[int, int] = {}
@@ -302,18 +321,19 @@ class CoordinationTracker:
         move = self.layout.movement(view.movement)
         return move.length + self._tail_offset(view) + self.params.length
 
-    def _region(self, mov_a: str, mov_b: str):
-        return self._region_of.get((mov_a, mov_b))
+    def _region(self, view: PlatoonView, rival: PlatoonView):
+        """The region view's movement shares with rival's, seen from view."""
+        return self.raster.regions.get((view.movement, rival.movement))
 
-    def _passed(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
-        return view.front > region.clear(first) + self._tail_offset(view)
+    def _passed(self, view: PlatoonView, region: SharedRegion) -> bool:
+        return view.front > region.clear + self._tail_offset(view)
 
-    def _committed(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
+    def _committed(self, view: PlatoonView, region: SharedRegion) -> bool:
         """Cannot stop before the region's first cell any more."""
-        bar = region.enter(first) - BAR_MARGIN
+        bar = region.enter - BAR_MARGIN
         return view.front + msd(view.speed, self.params.a_max) > bar + 1e-9
 
-    def _in_envelope(self, view: PlatoonView, region: SharedRegion, first: bool) -> bool:
+    def _in_envelope(self, view: PlatoonView, region: SharedRegion) -> bool:
         """One free-intent step from now, stopping before the region fails.
 
         This is the last step at which a crossing order can still be imposed,
@@ -323,17 +343,18 @@ class CoordinationTracker:
         v2, d = step_vehicle(view.speed, self.params.a_max, self.dt,
                              self.params.v_max)
         reach = view.front + d + msd(v2, self.params.a_max)
-        return reach > region.enter(first) - BAR_MARGIN
+        return reach > region.enter - BAR_MARGIN
 
     def _member_arcs(self, view: PlatoonView):
         pitch = self._pitch()
         return [view.front - i * pitch for i in range(view.size)]
 
     def _current_cells(self, view: PlatoonView) -> set:
-        spans = self.spans[view.movement]
-        arcs = self._member_arcs(view)
-        return {cell for cell, (lo, hi) in spans.items()
-                if any(lo <= s <= hi for s in arcs)}
+        raster = self.raster
+        row = raster.row[view.movement]
+        arcs = np.array(self._member_arcs(view))[:, None]
+        return raster.cells(row, ((raster.lo[row] <= arcs)
+                                  & (arcs <= raster.hi[row])).any(axis=0))
 
     def _desired_cells(self, view: PlatoonView) -> set:
         """Cells the platoon still wants: its remaining path beyond the front.
@@ -342,8 +363,8 @@ class CoordinationTracker:
         one-step projection would make their wishes look disjoint; the
         contested "conflict grids" are exactly where remaining paths meet.
         """
-        spans = self.spans[view.movement]
-        return {cell for cell, (lo, hi) in spans.items() if lo > view.front}
+        row = self.raster.row[view.movement]
+        return self.raster.cells(row, self.raster.lo[row] > view.front)
 
     # -- the scan ------------------------------------------------------------
 
@@ -413,11 +434,8 @@ class CoordinationTracker:
         for other in group.members:
             if other == pid or other not in by_pid:
                 continue
-            hit = self._region(view.movement, by_pid[other].movement)
-            if hit is None:
-                continue
-            region, first = hit
-            if not self._passed(view, region, first):
+            region = self._region(view, by_pid[other])
+            if region is not None and not self._passed(view, region):
                 return False
         return True
 
@@ -442,34 +460,33 @@ class CoordinationTracker:
 
     def _classify_pair(self, va: PlatoonView, vb: PlatoonView,
                        bars: dict, blocking: dict, edges: list):
-        hit = self._region(va.movement, vb.movement)
-        if hit is None:
+        ra = self._region(va, vb)
+        if ra is None:
             return
-        region, a_first = hit
-        if self._passed(va, region, a_first) or self._passed(vb, region, not a_first):
+        rb = self._region(vb, va)
+        if self._passed(va, ra) or self._passed(vb, rb):
             return
         if self._cogrouped(va.pid, vb.pid):
             return  # ranked; handled by _group_bars
-        if self._suppression_bar(va, vb, region, a_first, bars, blocking):
+        if self._suppression_bar(va, vb, bars, blocking):
             return
 
-        a_holds = self._committed(va, region, a_first)
-        b_holds = self._committed(vb, region, not a_first)
+        a_holds = self._committed(va, ra)
+        b_holds = self._committed(vb, rb)
         if a_holds and not b_holds:
-            self._bar_before(vb, region, not a_first, bars)
+            self._bar_before(vb, rb, bars)
             blocking[vb.pid].add(va.pid)
             return
         if b_holds and not a_holds:
-            self._bar_before(va, region, a_first, bars)
+            self._bar_before(va, ra, bars)
             blocking[va.pid].add(vb.pid)
             return
         if a_holds and b_holds:
             raise SafetyFault(
                 f"platoons {va.pid} and {vb.pid} both hold region "
-                f"{sorted(region.cells)[:4]}...; coordination was decided too late")
+                f"{sorted(ra.cells)[:4]}...; coordination was decided too late")
 
-        if (self._in_envelope(va, region, a_first)
-                and self._in_envelope(vb, region, not a_first)):
+        if self._in_envelope(va, ra) and self._in_envelope(vb, rb):
             edges.append((va.pid, vb.pid))
 
     def _cogrouped(self, pa: int, pb: int) -> bool:
@@ -477,7 +494,6 @@ class CoordinationTracker:
                    for g in self._groups.values())
 
     def _suppression_bar(self, va: PlatoonView, vb: PlatoonView,
-                         region: SharedRegion, a_first: bool,
                          bars: dict, blocking: dict) -> bool:
         """Spectators squeezed out of a crowded conflict set keep waiting
         until that set has crossed; without this they would edge with its
@@ -489,15 +505,13 @@ class CoordinationTracker:
             group = self._groups.get(gid)
             if group is None or len(group.role_done) == len(group.members):
                 continue
-            first = a_first if spect is va else not a_first
-            self._bar_before(spect, region, first, bars)
+            self._bar_before(spect, self._region(spect, member), bars)
             blocking[spect.pid].add(member.pid)
             return True
         return False
 
-    def _bar_before(self, view: PlatoonView, region: SharedRegion,
-                    first: bool, bars: dict):
-        bar = region.enter(first) - BAR_MARGIN
+    def _bar_before(self, view: PlatoonView, region: SharedRegion, bars: dict):
+        bar = region.enter - BAR_MARGIN
         if bars[view.pid] is None or bar < bars[view.pid]:
             bars[view.pid] = bar
 
@@ -555,10 +569,9 @@ class CoordinationTracker:
             for other in component:
                 if other == pid:
                     continue
-                hit = self._region(view.movement, by_pid[other].movement)
-                if hit is not None:
-                    region, first = hit
-                    gaps.append(region.enter(first) - view.front)
+                region = self._region(view, by_pid[other])
+                if region is not None:
+                    gaps.append(region.enter - view.front)
             return min(gaps)
         ranked = sorted(component, key=lambda p: (nearest_gap(p), by_pid[p].movement))
         chosen = ranked[:K_MAX]
@@ -569,17 +582,14 @@ class CoordinationTracker:
                        bars: dict, blocking: dict):
         view = by_pid[pid]
         for other in group_pids:
-            hit = self._region(view.movement, by_pid[other].movement)
-            if hit is None:
+            region = self._region(view, by_pid[other])
+            if region is None or self._passed(view, region):
                 continue
-            region, first = hit
-            if self._passed(view, region, first):
-                continue
-            if self._committed(view, region, first):
+            if self._committed(view, region):
                 # cannot stop before this region any more; the pair stays under
                 # normal classification, which makes the group member defer
                 continue
-            self._bar_before(view, region, first, bars)
+            self._bar_before(view, region, bars)
             blocking[pid].add(other)
             self._suppressed[(pid, other)] = gid
 
@@ -593,8 +603,8 @@ class CoordinationTracker:
                                 "speed": view.speed})
         others = [self._current_cells(view) for pid, view in sorted(by_pid.items())
                   if pid not in members]
-        state = encode_coordination_state(self.grid.granularity, group_infos,
-                                          others, self.params.v_max)
+        state = encode_coordination_state(self.raster.grid.granularity,
+                                          group_infos, others, self.params.v_max)
         mask = valid_action_mask(k)
         action = int(decide_fn(state, mask, list(members)))
         if not mask[action]:
@@ -628,29 +638,27 @@ class CoordinationTracker:
                     other = by_pid.get(higher)
                     if other is None:
                         continue
-                    hit = self._region(view.movement, other.movement)
-                    if hit is None:
+                    region = self._region(view, other)
+                    if region is None:
                         continue
-                    region, first = hit
-                    rival_region, rival_first = self._region(other.movement,
-                                                             view.movement)
-                    if (self._passed(view, region, first)
-                            or self._passed(other, rival_region, rival_first)):
+                    rival_region = self._region(other, view)
+                    if (self._passed(view, region)
+                            or self._passed(other, rival_region)):
                         continue
-                    if self._committed(view, region, first):
+                    if self._committed(view, region):
                         # the ranked-below platoon can no longer stop before
                         # this region (the pair never edged, so the decision
                         # did not vet it); physics outranks the chosen order
                         # and the higher-ranked platoon waits instead
-                        if self._committed(other, rival_region, rival_first):
+                        if self._committed(other, rival_region):
                             raise SafetyFault(
                                 f"platoons {view.pid} and {other.pid} are both "
                                 "committed to a shared region; coordination "
                                 "was decided too late")
-                        self._bar_before(other, rival_region, rival_first, bars)
+                        self._bar_before(other, rival_region, bars)
                         blocking[other.pid].add(view.pid)
                     else:
-                        self._bar_before(view, region, first, bars)
+                        self._bar_before(view, region, bars)
                         blocking[view.pid].add(higher)
 
     def _check_safety(self, by_pid: dict, bars: dict, t: float):

@@ -2,16 +2,20 @@
 handling, signal and reservation baselines, continuous-time safety auditing,
 and measurement.
 
-One Simulation object runs one episode.  Heavy geometry products (cell
-spans, shared regions, the state canvas) are built once per process in a
-SharedContext and reused across episodes; everything mutable lives on the
-Simulation so episodes are independent given their seeds.
+One Simulation object runs one episode.  Heavy geometry products are
+built once per process in a SharedContext and reused across episodes:
+two PathRasters, which hold every movement's cell brackets and the
+oriented table of regions each pair of movements shares, and the state
+canvas.  The raster at the configured granularity serves the coordination
+tracker and the FCFS tile reservations; the one at the finest granularity
+serves the safety audit.  Everything mutable lives on the Simulation, so
+episodes are independent given their seeds.
 
 Step order, repeated T/dt times:
-  arrivals -> entry requests -> platoon-size decisions -> formation
-  bookkeeping and releases -> zone status scan with priority decisions ->
-  deadlock pass -> per-vehicle control and integration -> exits, rewards,
-  and the safety audit.
+  arrivals -> platoon-size decisions -> formation bookkeeping and
+  releases -> zone status scan with priority decisions -> deadlock pass ->
+  per-vehicle control and integration -> exits, rewards, and the safety
+  audit.
 
 Vehicle routes are one-dimensional: route_pos is the front-bumper arc with
 0 at the formation-zone entry, L at the stop line, and L + zone path length
@@ -37,7 +41,9 @@ import numpy as np
 from .baselines import (FIXED_PLATOON_SIZE, ReservationManager, WebsterPlan,
                         random_priority_decider)
 from .config import SimConfig
-from .coordination import CoordinationTracker, PlatoonView, build_regions, path_cell_spans
+from .coordination import CoordinationTracker, PathRaster, PlatoonView
+# perfbench/instrument.py wraps path_cell_spans under this module's name
+from .coordination import path_cell_spans  # noqa: F401
 from .deadlock import build_wait_graph, detect_deadlocks, punish_and_clear
 from .drl.agent import Experience
 from .dynamics import (ON_BAR, Platoon, Vehicle, follow_gap_accel,
@@ -47,7 +53,7 @@ from .formation import (CanvasVehicle, FormationCanvas, delay_factor,
                         formation_reward, penalized_wait, time_to_join)
 from .geometry import Grid, msd
 from .metrics import EpisodeMetrics
-from .traffic import ArrivalProcess, emit_request
+from .traffic import ArrivalProcess
 
 AUDIT_GRANULARITY = 24   # safety audit always runs at the finest grid
 STANDSTILL = 0.1         # m/s; below this a vehicle accrues waiting time
@@ -69,52 +75,19 @@ class SafetyAuditError(RuntimeError):
 # -- shared, episode-independent products ------------------------------------
 
 @dataclass(frozen=True)
-class AuditRaster:
-    """Audit-grid cell brackets, one padded row per movement in sorted order.
+class SharedContext:
+    """Episode-independent products of one config, built once per process.
 
-    Padding cells carry the empty bracket (+inf, -inf), which no swept
-    front interval meets.
+    Both rasters hold every movement's cell brackets and the oriented region
+    table regions[(a, b)], seen from movement a.  `raster`, at the config
+    granularity, serves the coordination tracker and the FCFS tiles;
+    `audit`, at AUDIT_GRANULARITY, serves the safety audit.
     """
 
-    ids: np.ndarray        # (movement, slot) -> cell r * g + c, -1 for padding
-    lo: np.ndarray         # front arcs bracketing the cell's occupancy
-    hi: np.ndarray
-    reach: tuple           # per movement: the largest hi
-    rivals: tuple          # per movement: {row of a movement sharing cells:
-                           #   (lo, hi) bracket of the shared cells}
-
-    @classmethod
-    def build(cls, layout, params, movements) -> "AuditRaster":
-        grid = Grid(AUDIT_GRANULARITY)
-        rows = [sorted(path_cell_spans(layout.movement(mk), grid, params).items())
-                for mk in movements]
-        width = max(len(items) for items in rows)
-        ids = np.full((len(rows), width), -1, dtype=np.int64)
-        lo = np.full((len(rows), width), np.inf)
-        hi = np.full((len(rows), width), -np.inf)
-        for k, items in enumerate(rows):
-            ids[k, :len(items)] = [r * AUDIT_GRANULARITY + c for (r, c), _ in items]
-            lo[k, :len(items)] = [bracket[0] for _, bracket in items]
-            hi[k, :len(items)] = [bracket[1] for _, bracket in items]
-        rivals = []
-        for k in range(len(rows)):
-            spans = {}
-            for j in range(len(rows)):
-                both = np.isin(ids[k], ids[j]) & (ids[k] >= 0)
-                if j != k and both.any():
-                    spans[j] = (float(lo[k, both].min()), float(hi[k, both].max()))
-            rivals.append(spans)
-        return cls(ids, lo, hi, tuple(hi.max(axis=1).tolist()), tuple(rivals))
-
-
-@dataclass(frozen=True)
-class SharedContext:
     layout: object
     params: object
-    grid: Grid
-    spans: dict            # movement key -> {cell: (lo, hi)} at config granularity
-    regions: dict
-    audit: AuditRaster
+    raster: PathRaster
+    audit: PathRaster
     canvas: FormationCanvas
     zone_len: dict         # movement key -> zone path length
     movements: tuple       # movement keys, sorted
@@ -131,16 +104,13 @@ def shared_context(config: SimConfig) -> SharedContext:
         return hit
     layout = config.layout()
     params = config.vehicle_params()
-    grid = Grid(config.g)
-    spans = {m.key: path_cell_spans(m, grid, params) for m in layout.movements}
-    regions = build_regions(layout, grid, params, spans=spans)
-    movements = tuple(sorted(m.key for m in layout.movements))
+    raster = PathRaster.build(layout, Grid(config.g), params)
     ctx = SharedContext(
-        layout=layout, params=params, grid=grid, spans=spans, regions=regions,
-        audit=AuditRaster.build(layout, params, movements),
+        layout=layout, params=params, raster=raster,
+        audit=PathRaster.build(layout, Grid(AUDIT_GRANULARITY), params),
         canvas=FormationCanvas(layout, params, horizon=config.T_m),
         zone_len={m.key: m.length for m in layout.movements},
-        movements=movements)
+        movements=raster.movements)
     _SHARED_CACHE[key] = ctx
     return ctx
 
@@ -217,8 +187,7 @@ class Simulation:
         self._random_priority = random_priority_decider(self.policy_rng)
         if self.platoon_mode:
             self.tracker = CoordinationTracker(
-                self.shared.layout, self.shared.grid, self.params, config.dt,
-                spans=self.shared.spans, regions=self.shared.regions)
+                self.shared.layout, self.shared.raster, self.params, config.dt)
             if self.policy in ("coor-plt", "fp") and not calibrating \
                     and self.layer2 is None:
                 raise ValueError(f"policy {self.policy!r} needs a priority agent")
@@ -229,8 +198,7 @@ class Simulation:
             self.webster = WebsterPlan(webster_rates(config))
         else:
             self.reservation = ReservationManager(
-                self.shared.layout, self.shared.grid, self.params, config.dt,
-                spans=self.shared.spans)
+                self.shared.raster, self.params, config.dt)
         # sizing windows exist wherever the sizing reward is defined
         self.windows_enabled = self.platoon_mode and self.policy != "fp"
 
@@ -239,7 +207,6 @@ class Simulation:
         self.platoons: dict[int, Platoon] = {}
         self.window_of: dict[int, _Window] = {}
         self.granted: set = set()
-        self.emitted_requests: set = set()
         self._next_vid = 0
         self._next_pid = 0
         self._plan = None
@@ -319,7 +286,6 @@ class Simulation:
             lane.queue.append(veh)
             self.vehicles[veh.vid] = veh
             self.metrics.spawned += 1
-            emit_request(veh, p, self.emitted_requests)
 
     # -- layer 1: sizing decisions and formation ---------------------------------
 
@@ -746,18 +712,21 @@ class Simulation:
             prev = rec
             if pos0 + dist >= L and pos0 - L <= raster.reach[row]:
                 zone.append(rec)
-        def sweeps(rec, span) -> bool:
-            """Whether the record's swept front interval meets an arc span."""
-            return rec[2] - L <= span[1] and rec[2] + rec[5] - L >= span[0]
+        def sweeps(rec, region) -> bool:
+            """Whether the record's swept front interval meets the arcs at
+            which its body touches the region."""
+            return (rec[2] - L <= region.clear
+                    and rec[2] + rec[5] - L >= region.enter)
 
         # a pair can clash only while both sweep the cells their movements share
+        movements, regions = raster.movements, raster.regions
         close = set()
         for x, rec in enumerate(zone):
-            spans = raster.rivals[rec[1]]
+            mk = movements[rec[1]]
             for y, other in enumerate(zone[:x]):
-                span = spans.get(other[1])
-                if (span is not None and sweeps(rec, span)
-                        and sweeps(other, raster.rivals[other[1]][rec[1]])):
+                region = regions.get((mk, movements[other[1]]))
+                if (region is not None and sweeps(rec, region)
+                        and sweeps(other, regions[(movements[other[1]], mk)])):
                     close.update((x, y))
         if not close:
             return
@@ -824,7 +793,8 @@ class Simulation:
         labels = {}
         if self._plan is not None:
             bars = {str(k): v for k, v in self._plan.bars.items()}
-            labels = {str(k): int(v) for k, v in self._plan.labels.items()}
+            labels = {str(k): {"label": v.label, "group": v.group}
+                      for k, v in self._plan.labels.items()}
         row = {
             "t": t,
             "vehicles": [[v.vid, v.movement, round(v.route_pos, 4),

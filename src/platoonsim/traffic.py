@@ -1,4 +1,4 @@
-"""Stochastic demand generation and the vehicle-to-manager request protocol.
+"""Stochastic demand generation.
 
 Flow rates are per movement in veh/h, keyed "origin-destination".  Each
 movement draws arrival counts from its own Poisson stream so that demand
@@ -108,22 +108,3 @@ class ArrivalProcess:
             out[m] = int(self._rngs[m].poisson(lam)) if lam > 0 else 0
         return out
 
-
-@dataclass(frozen=True)
-class RequestMessage:
-    """What a CAV reports on entering the formation zone."""
-
-    vehicle_id: int
-    position: float
-    speed: float
-    accel_limit: float
-    turning_demand: str
-
-
-def emit_request(vehicle, params, emitted: set) -> RequestMessage:
-    """Build the entry request, enforcing the once-per-vehicle protocol."""
-    if vehicle.vid in emitted:
-        raise RuntimeError(f"vehicle {vehicle.vid} already sent its request")
-    emitted.add(vehicle.vid)
-    return RequestMessage(vehicle.vid, vehicle.route_pos, vehicle.speed,
-                          params.a_max, vehicle.movement)

@@ -15,7 +15,7 @@ from platoonsim.baselines import (FIXED_PLATOON_SIZE, SIGNAL_PHASES,
                                   fixed_platooning_size, order_to_action,
                                   random_coordination,
                                   random_priority_decider)
-from platoonsim.coordination import (PERMS, path_cell_spans,
+from platoonsim.coordination import (PERMS, PathRaster, path_cell_spans,
                                       valid_action_mask)
 from platoonsim.dynamics import VehicleParams
 from platoonsim.geometry import ConflictMap, Grid, default_layout
@@ -25,13 +25,14 @@ PARAMS = VehicleParams()
 LAYOUT = default_layout()
 GRID = Grid(12)
 SPANS = {m.key: path_cell_spans(m, GRID, PARAMS) for m in LAYOUT.movements}
+RASTER = PathRaster.build(LAYOUT, GRID, PARAMS)
 
 DESK_HIGH = {k: 0.25 * v for k, v in HIGH_RATES.items()}
 DESK_MODERATE = {k: 0.25 * v for k, v in MODERATE_RATES.items()}
 
 
 def make_manager(dt=1.0):
-    return ReservationManager(LAYOUT, GRID, PARAMS, dt, spans=SPANS)
+    return ReservationManager(RASTER, PARAMS, dt)
 
 
 # -- fixed platooning ------------------------------------------------------------
@@ -193,7 +194,9 @@ def test_fcfs_first_request_on_empty_table_granted():
     speeds = [v for _, v in profile]
     assert fronts == sorted(fronts)
     assert all(v <= PARAMS.v_max for v in speeds)
-    assert fronts[-1] > mgr._exit_front["south-north"]
+    assert fronts[-1] > RASTER.reach[RASTER.row["south-north"]]
+    assert RASTER.reach[RASTER.row["south-north"]] == max(
+        hi for _, hi in SPANS["south-north"].values())
 
 
 def test_fcfs_profile_is_exact_piecewise_kinematics():
@@ -280,6 +283,25 @@ def test_fcfs_granted_trajectories_never_share_swept_cells():
                     holder = occupancy.setdefault((cell, t0 + j), vid)
                     assert holder == vid, (
                         f"cell {cell} shared at step {t0 + j}")
+
+
+@pytest.mark.parametrize("mk,front,speed", [
+    ("south-north", -0.5, 10.0), ("east-south", -2.0, 3.0),
+    ("west-north", -1.0, 0.0), ("north-east", 4.0, 20.0)])
+def test_fcfs_tiles_match_span_loop(mk, front, speed):
+    # the tiles of a profile are those of a per-cell loop over the span
+    # dict, numbered step * g * g + r * g + c
+    g = GRID.granularity
+    mgr = make_manager(dt=0.5)
+    profile = mgr.crossing_profile(mk, front, speed)
+    expected = set()
+    for j in range(len(profile) - 1):
+        f0, f1 = profile[j][0], profile[j + 1][0]
+        for (r, c), (lo, hi) in SPANS[mk].items():
+            if lo <= f1 and hi >= f0:
+                expected.update((7 + j + b) * g * g + r * g + c
+                                for b in (-1, 0, 1, 2))
+    assert expected and mgr.tiles_for(mk, profile, 7) == expected
 
 
 def test_fcfs_prune_drops_only_stale_tiles():

@@ -17,7 +17,6 @@ PINNED_DEFAULTS = {
     "T_m": 60.0, "w1": -1.0, "w2": -1.0, "w3": -1.0,
     "R_deadlock": -10.0, "g": 12,
     "dt": 1.0, "seed": 0, "condition": 1, "policy": "coor-plt",
-    "k_max": 4, "crop_policy": "centered",
     "fuel_idle": 0.5, "fuel_rolling": 0.25, "fuel_accel": 0.1,
     "adam_lr": 0.001,
 }
@@ -47,8 +46,6 @@ def test_granularity_values():
     ("policy", "magic"),
     ("condition", 4),
     ("condition", 0),
-    ("k_max", 3),
-    ("crop_policy", "tiled"),
     ("dt", 0.0),
     ("dt", -1.0),
     ("T", 0.0),

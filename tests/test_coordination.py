@@ -9,8 +9,8 @@ import pytest
 from platoonsim.coordination import (BAR_MARGIN, COORDINATED,
                                      INDEPENDENT_BLOCKED, INDEPENDENT_FREE,
                                      K_MAX, N_PRIORITY_ACTIONS, PERMS,
-                                     CoordinationTracker, PlatoonView,
-                                     SafetyFault, build_regions,
+                                     CoordinationTracker, PathRaster,
+                                     PlatoonView, SafetyFault,
                                      coordination_reward,
                                      encode_coordination_state,
                                      enumerate_priority_actions,
@@ -27,12 +27,16 @@ PARAMS = VehicleParams()
 LAYOUT = default_layout()
 GRID = Grid(12)
 SPANS = {m.key: path_cell_spans(m, GRID, PARAMS) for m in LAYOUT.movements}
-REGIONS = build_regions(LAYOUT, GRID, PARAMS, spans=SPANS)
+RASTER = PathRaster.build(LAYOUT, GRID, PARAMS)
+REGIONS = RASTER.regions
 
 
 def make_tracker(dt=1.0):
-    return CoordinationTracker(LAYOUT, GRID, PARAMS, dt,
-                               spans=SPANS, regions=REGIONS)
+    return CoordinationTracker(LAYOUT, RASTER, PARAMS, dt)
+
+
+def unordered(regions) -> set:
+    return {tuple(sorted(pair)) for pair in regions}
 
 
 # -- shared regions -------------------------------------------------------------
@@ -41,33 +45,33 @@ def make_tracker(dt=1.0):
 def test_region_pair_count_matches_granularity():
     # finer tiles separate the two opposite-left pairs whose tubes pass
     # within one coarse cell of each other, unlocking parallel crossings
-    assert len(REGIONS) == 16
-    assert len(build_regions(LAYOUT, Grid(6), PARAMS)) == 18
-    assert len(build_regions(LAYOUT, Grid(24), PARAMS)) == 16
+    assert len(unordered(REGIONS)) == 16
+    assert len(unordered(PathRaster.build(LAYOUT, Grid(6), PARAMS).regions)) == 18
+    assert len(unordered(PathRaster.build(LAYOUT, Grid(24), PARAMS).regions)) == 16
 
 
 def test_regions_match_geometric_conflicts():
     geometric = {tuple(sorted(pair)) for pair in ConflictMap(LAYOUT).pairs()}
     assert len(geometric) == 16
-    assert set(REGIONS) == geometric
-    coarse = set(build_regions(LAYOUT, Grid(6), PARAMS))
+    assert unordered(REGIONS) == geometric
+    coarse = unordered(PathRaster.build(LAYOUT, Grid(6), PARAMS).regions)
     assert coarse - geometric == {("east-south", "west-north"),
                                   ("north-east", "south-west")}
 
 
 def test_crossing_straights_region_frozen():
     region = REGIONS[("south-north", "west-east")]
+    rival = REGIONS[("west-east", "south-north")]
     # oracle: both tubes are 1.8 m wide on 1.25 m cells, so each covers two
     # columns/rows; the overlap block is their cartesian product
     assert region.cells == frozenset({(2, 8), (2, 9), (3, 8), (3, 9)})
+    assert rival.cells == region.cells
     # front-bumper arcs: the tube reaches y > -5 at s = 2.5 and the 5 m rear
     # leaves y = -2.5 at s = 10; the west-east twin is offset one lane later
-    assert region.enter_a == pytest.approx(2.5, abs=1e-6)
-    assert region.clear_a == pytest.approx(10.0, abs=1e-6)
-    assert region.enter_b == pytest.approx(10.0, abs=1e-6)
-    assert region.clear_b == pytest.approx(17.5, abs=1e-6)
-    assert region.enter(True) == region.enter_a
-    assert region.clear(False) == region.clear_b
+    assert region.enter == pytest.approx(2.5, abs=1e-6)
+    assert region.clear == pytest.approx(10.0, abs=1e-6)
+    assert rival.enter == pytest.approx(10.0, abs=1e-6)
+    assert rival.clear == pytest.approx(17.5, abs=1e-6)
 
 
 def test_no_region_within_one_approach():
@@ -105,6 +109,35 @@ def test_path_spans_match_scalar_march(g):
     for movement in LAYOUT.movements:
         assert (path_cell_spans(movement, grid, PARAMS)
                 == scalar_path_cell_spans(movement, grid, PARAMS)), movement.key
+
+
+@pytest.mark.parametrize("g", (6, 12, 24))
+def test_raster_rows_and_region_table_match_scalar_march(g):
+    grid = Grid(g)
+    raster = PathRaster.build(LAYOUT, grid, PARAMS)
+    spans = {m.key: scalar_path_cell_spans(m, grid, PARAMS)
+             for m in LAYOUT.movements}
+    assert raster.movements == tuple(sorted(spans))
+    for mk, row in raster.row.items():
+        assert raster.movements[row] == mk
+        items = sorted(spans[mk].items())
+        n = len(items)
+        assert raster.ids[row, :n].tolist() == [r * g + c for (r, c), _ in items]
+        assert raster.lo[row, :n].tolist() == [lo for _, (lo, _) in items]
+        assert raster.hi[row, :n].tolist() == [hi for _, (_, hi) in items]
+        assert (raster.ids[row, n:] == -1).all()
+        assert (raster.lo[row, n:] == np.inf).all()
+        assert (raster.hi[row, n:] == -np.inf).all()
+        assert raster.reach[row] == max(hi for _, hi in spans[mk].values())
+    for ka, kb in itertools.permutations(spans, 2):
+        shared = spans[ka].keys() & spans[kb].keys()
+        region = raster.regions.get((ka, kb))
+        if not shared:
+            assert region is None, (ka, kb)
+            continue
+        assert region.cells == shared, (ka, kb)
+        assert region.enter == min(spans[ka][c][0] for c in shared)
+        assert region.clear == max(spans[ka][c][1] for c in shared)
 
 
 # -- priority actions -----------------------------------------------------------
@@ -514,7 +547,7 @@ def test_plans_are_reproducible():
 def test_committed_margin_excludes_exact_standstill_at_bar():
     # a platoon stopped exactly on its bar holds nothing and blocks nobody
     tracker = make_tracker()
-    bar = REGIONS[("south-north", "west-east")].enter_a - BAR_MARGIN
+    bar = REGIONS[("south-north", "west-east")].enter - BAR_MARGIN
     views = [PlatoonView(1, "south-north", bar, 0.0, 1),
              PlatoonView(2, "west-east", 12.0, 10.0, 1)]
     plan = tracker.step(views, 0.0, lambda s, m, mem: 0)

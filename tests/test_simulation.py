@@ -402,3 +402,21 @@ def test_trace_is_parseable_jsonl(tmp_path):
     assert rows[0]["t"] == 0.0
     assert all(set(r) == {"t", "vehicles", "bars", "labels"} for r in rows)
     assert any(r["vehicles"] for r in rows)
+
+
+def test_platoon_trace_rows_read_back(tmp_path):
+    # platoon policies put tracker status labels into every row
+    cfg = DESK.override(T=120.0, policy="fp")
+    trace = tmp_path / "fp.jsonl"
+    Simulation(cfg, seed=1, calibrating=True, normalizer=FactorNormalizer(),
+               shared=SHARED, trace_path=trace).run()
+    rows = [json.loads(line) for line in
+            trace.read_text(encoding="utf-8").strip().splitlines()]
+    assert len(rows) == 120
+    labels = [label for r in rows for label in r["labels"].values()]
+    assert labels
+    for label in labels:
+        assert set(label) == {"label", "group"}
+        assert label["label"] in (1, 2, 3)
+        assert (label["group"] is not None) == (label["label"] == 3)
+    assert all(set(r["bars"]) <= set(r["labels"]) for r in rows)

@@ -1,11 +1,10 @@
-"""Demand tables, Poisson arrival streams, and the entry-request protocol."""
+"""Demand tables and Poisson arrival streams."""
 
 import numpy as np
 import pytest
 
-from platoonsim.dynamics import Vehicle, VehicleParams
 from platoonsim.traffic import (ArrivalProcess, ConditionSchedule, DemandProfile,
-                                HIGH_RATES, MODERATE_RATES, emit_request)
+                                HIGH_RATES, MODERATE_RATES)
 
 
 def test_moderate_rate_table_frozen():
@@ -129,25 +128,3 @@ def test_dt_must_be_positive():
     with pytest.raises(ValueError, match="dt"):
         ArrivalProcess(ConditionSchedule.condition(1), dt=0.0, seed=0)
 
-
-def _vehicle(vid=0):
-    return Vehicle(vid=vid, movement="south-north", arrival_time=0.0,
-                   spawn_time=0.0, route_pos=0.0, speed=12.0)
-
-
-def test_emit_request_fields():
-    emitted = set()
-    msg = emit_request(_vehicle(3), VehicleParams(), emitted)
-    assert msg.vehicle_id == 3
-    assert msg.position == 0.0
-    assert msg.speed == 12.0
-    assert msg.accel_limit == 5.0
-    assert msg.turning_demand == "south-north"
-    assert emitted == {3}
-
-
-def test_duplicate_request_is_protocol_error():
-    emitted = set()
-    emit_request(_vehicle(5), VehicleParams(), emitted)
-    with pytest.raises(RuntimeError, match="already"):
-        emit_request(_vehicle(5), VehicleParams(), emitted)
