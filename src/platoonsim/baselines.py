@@ -28,14 +28,8 @@ POLICY_KINDS = ("coor-plt", "fp", "rc", "webster", "fcfs-reservation")
 
 FIXED_PLATOON_SIZE = 3
 
-
-def fixed_platooning_size(_state=None) -> int:
-    """Constant platoon size for the fixed-platooning variant.
-
-    The formation logic still caps the commanded size by the vehicles
-    actually available in the lane.
-    """
-    return FIXED_PLATOON_SIZE
+# steps of tiles a reservation holds on each side of its swept steps
+BUFFER_STEPS = 1
 
 
 def random_coordination(members, rng: np.random.Generator) -> tuple:
@@ -191,14 +185,11 @@ class ReservationManager:
     vehicles simply ask again on a later step.
     """
 
-    def __init__(self, raster: PathRaster, params: VehicleParams, dt: float,
-                 buffer_steps: int = 1):
+    def __init__(self, raster: PathRaster, params: VehicleParams, dt: float):
         self.raster = raster
         self.params = params
         self.dt = dt
-        self.buffer_steps = buffer_steps
         self._tiles: dict = {}        # tile -> vid, see tiles_for
-        self._grants: dict = {}       # vid -> (start_step, profile)
         self._first_seen: dict = {}
         self._seq = 0
 
@@ -232,8 +223,7 @@ class ReservationManager:
         fronts = np.array([f for f, _ in profile])
         j, slot = np.nonzero((raster.lo[row] <= fronts[1:, None])
                              & (raster.hi[row] >= fronts[:-1, None]))
-        steps = start_step + j[:, None] + np.arange(-self.buffer_steps,
-                                                    self.buffer_steps + 2)
+        steps = start_step + j[:, None] + np.arange(-BUFFER_STEPS, BUFFER_STEPS + 2)
         tiles = steps * raster.grid.granularity ** 2 + raster.ids[row, slot][:, None]
         return set(tiles.ravel().tolist())
 
@@ -262,14 +252,13 @@ class ReservationManager:
                 continue
             for tile in tiles:
                 self._tiles[tile] = vid
-            self._grants[vid] = (t_index, profile)
             out[vid] = profile
         return out
 
     def prune(self, t_index: int) -> None:
         """Forget tiles that can no longer constrain any new request."""
         # tile < horizon * g * g exactly when the tile's step < horizon
-        horizon = (t_index - self.buffer_steps - 1) * self.raster.grid.granularity ** 2
+        horizon = (t_index - BUFFER_STEPS - 1) * self.raster.grid.granularity ** 2
         stale = [tile for tile in self._tiles if tile < horizon]
         for tile in stale:
             del self._tiles[tile]

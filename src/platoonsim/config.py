@@ -56,7 +56,6 @@ class SimConfig:
     M: int = 100                # training episodes
 
     # learning constants
-    alpha: float = 0.001        # learning rate
     gamma: float = 0.9          # discount factor
     epsilon: float = 0.1        # exploration rate
     replay_capacity: int = 1000
@@ -97,7 +96,7 @@ class SimConfig:
         if self.condition not in (1, 2, 3):
             raise ValueError(f"condition must be 1, 2 or 3, got {self.condition}")
         for name in ("l_c", "w_c", "l_lane", "S", "L", "a_max", "v_max", "d_h",
-                     "d_h_hat", "T", "alpha", "adam_lr", "T_m", "dt", "switch_time"):
+                     "d_h_hat", "T", "adam_lr", "T_m", "dt", "switch_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("M", "replay_capacity", "batch_size",

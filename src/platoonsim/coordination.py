@@ -66,9 +66,10 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams) -> dict:
     safety audit read.
 
     The tube from arc -length to the movement's length + length is cut
-    into slivers of SLIVER metres (the last one shorter), and all of them
-    are rasterized in one batch.  A cell's bracket runs from the start of
-    the first sliver that covers it to the end of the last, plus the body
+    into slivers of SLIVER metres (the last one shorter).  One
+    Movement.poses call places every sliver's centre, and all of them are
+    rasterized in one batch.  A cell's bracket runs from the start of the
+    first sliver that covers it to the end of the last, plus the body
     length.  Cells are listed in order of their first sliver, then
     row-major.
     """
@@ -78,9 +79,8 @@ def path_cell_spans(movement, grid: Grid, params: VehicleParams) -> dict:
     g = grid.granularity
     tau = lo_arc + np.arange(n) * SLIVER
     seg = np.minimum(SLIVER, hi_arc - tau)
-    poses = np.array([movement.pose(s) for s in (tau + 0.5 * seg).tolist()])
-    slivers = oriented_rects(poses[:, 0], poses[:, 1], seg, params.width,
-                             poses[:, 2])
+    x, y, heading = movement.poses(tau + 0.5 * seg)
+    slivers = oriented_rects(x, y, seg, params.width, heading)
     owner, rows, cols = rect_cells(slivers, -half, -half, grid.cell_size, g, g)
     first = np.full(g * g, n)
     last = np.full(g * g, -1)
@@ -170,12 +170,6 @@ class PathRaster:
 
 # -- priority actions ----------------------------------------------------------
 
-
-def enumerate_priority_actions(k: int) -> list:
-    """All k! crossing orders, lexicographic by member rank."""
-    if not 2 <= k <= K_MAX:
-        raise ValueError(f"conflict sets hold 2..{K_MAX} platoons, got {k}")
-    return list(permutations(range(k)))
 
 def valid_action_mask(k: int) -> np.ndarray:
     """Which of the 24 fixed-head permutations apply to a k-platoon group.

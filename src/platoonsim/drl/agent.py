@@ -151,29 +151,3 @@ def network_copy(net: Sequential) -> Sequential:
     twin.copy_weights_from(net)
     return twin
 
-
-def train_loop(env, agent: DQNAgent, episodes: int,
-               max_steps: int) -> list[float]:
-    """Generic episodic driver for small benchmark environments.
-
-    `env.reset() -> (state, mask)` and `env.step(action) -> (state, reward,
-    terminal, mask)`.  Returns per-episode reward sums.  The simulator has
-    its own richer loop; this one exists for self-contained sanity checks
-    of the learning machinery.
-    """
-    returns = []
-    for _ in range(episodes):
-        state, mask = env.reset()
-        total = 0.0
-        for _ in range(max_steps):
-            action = agent.act(state, mask)
-            nxt, reward, terminal, nxt_mask = env.step(action)
-            total += reward
-            agent.remember(Experience(state, action, reward,
-                                      None if terminal else nxt, terminal,
-                                      None if terminal else nxt_mask))
-            if terminal:
-                break
-            state, mask = nxt, nxt_mask
-        returns.append(total)
-    return returns

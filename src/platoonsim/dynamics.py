@@ -94,7 +94,9 @@ def min_gap_in_step(gap0: float, gap1: float, lead_speed: float,
     best, when = (gap0, 0.0) if gap0 <= gap1 else (gap1, dt)
     if lead_accel > accel and speed > lead_speed:
         cross = (speed - lead_speed) / (lead_accel - accel)
-        if cross < dt:
+        # a subnormal speed difference can round cross to 0, where the
+        # gap is gap0 and step_vehicle refuses a zero step
+        if 0.0 < cross < dt:
             gap = (gap0 + step_vehicle(lead_speed, lead_accel, cross, v_max)[1]
                    - step_vehicle(speed, accel, cross, v_max)[1])
             if gap < best:
@@ -174,18 +176,6 @@ def free_accel(speed: float, params: VehicleParams) -> float:
     return params.a_max if speed < params.v_max else 0.0
 
 
-def project_desired_location(x: float, y: float, heading: float, speed: float,
-                             accel: float, dt: float) -> tuple[float, float]:
-    """Straight-line projection of a pose one interval ahead.
-
-    x' = x + v*sin(h)*dt + a*sin(h)*dt^2/2, y' likewise with cos(h); the
-    heading is held constant over the interval, which is exact on straights
-    and a tangent approximation on arcs.
-    """
-    d = speed * dt + 0.5 * accel * dt * dt
-    return x + d * math.sin(heading), y + d * math.cos(heading)
-
-
 def formation_accel(gap: float, speed: float, leader_speed: float,
                     leader_accel: float, params: VehicleParams, dt: float,
                     k_gap: float = 0.25, k_speed: float = 0.9) -> float:
@@ -212,13 +202,6 @@ def formation_accel(gap: float, speed: float, leader_speed: float,
     if speed >= params.v_max:
         a = min(a, 0.0)
     return min(max(a, -params.a_max), params.a_max)
-
-
-def platoon_length(n: int, params: VehicleParams) -> float:
-    """Bumper-to-bumper length of an n-vehicle platoon at formation headway."""
-    if n < 1:
-        raise ValueError("platoon needs at least one vehicle")
-    return n * params.length + (n - 1) * params.headway_platoon
 
 
 def max_platoon_size(params: VehicleParams, formation_length: float) -> int:

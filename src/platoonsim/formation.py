@@ -24,17 +24,6 @@ CANVAS_HALF = 0.5 * CANVAS_CELLS * CANVAS_CELL_SIZE  # 200 m
 CANVAS_CHANNELS = 4
 
 
-@dataclass(frozen=True)
-class CanvasVehicle:
-    """Pose and per-vehicle scalars the encoder needs; (x, y) is the front bumper."""
-
-    x: float
-    y: float
-    heading: float
-    speed: float
-    ttj: float  # seconds until this vehicle can join its lane's forming platoon
-
-
 class SparseCanvas:
     """Sparse four-channel state with dense conversion on demand.
 
@@ -90,40 +79,37 @@ class FormationCanvas:
 
     def _lane_mask(self, movement):
         """Cell indices of one movement's formation lane strip."""
-        x0, y0, h0 = movement.pose(0.0)
-        x1, y1, _ = movement.pose(-self.layout.formation_length)
-        rect = np.array([[x0, y0], [x1, y1]])
-        center = rect.mean(axis=0)
-        strip = oriented_rect(center[0], center[1], self.layout.formation_length,
-                              self.layout.lane_width, h0)
+        x, y, heading = movement.poses([0.0, -self.layout.formation_length])
+        strip = oriented_rect(x.mean(), y.mean(), self.layout.formation_length,
+                              self.layout.lane_width, heading[0])
         # one strip per call: a batch of strips would pad each one to the
         # extent of the longest in both axes
         _, rows, cols = rect_cells(strip[None], -CANVAS_HALF, -CANVAS_HALF,
                                    CANVAS_CELL_SIZE, CANVAS_CELLS, CANVAS_CELLS)
         return rows.astype(np.int16), cols.astype(np.int16)
 
-    def encode(self, vehicles, target_movement: str) -> SparseCanvas:
+    def encode(self, bodies, target_movement: str) -> SparseCanvas:
         """State for a pending decision on `target_movement`'s lane.
 
-        `vehicles` is an iterable of CanvasVehicle covering every CAV in the
-        formation and coordination zones; bodies beyond the canvas edge fall
-        off the crop.  All bodies are rasterized in one batch; where bodies
-        share a cell, the later vehicle's values win.
+        `bodies` is an (n, 5) stack of rows (x, y, heading, speed, ttj), one
+        per CAV in the formation and coordination zones: (x, y) is the front
+        bumper and ttj the seconds until that vehicle can join its lane's
+        forming platoon.  Bodies beyond the canvas edge fall off the crop.
+        All bodies are rasterized in one batch; where bodies share a cell,
+        the later row's values win.
         """
         if target_movement not in self._masks:
             raise KeyError(f"unknown movement {target_movement!r}")
         p = self.params
-        poses, speed, ttj = [], [], []
-        for veh in vehicles:
-            poses.append((veh.x, veh.y, veh.heading))
-            speed.append(min(max(veh.speed / p.v_max, 0.0), 1.0))
-            ttj.append(min(max(veh.ttj / self.horizon, 0.0), 1.0))
+        bodies = np.asarray(bodies, dtype=float).reshape(-1, 5)
+        speed = np.clip(bodies[:, 3] / p.v_max, 0.0, 1.0)
+        ttj = np.clip(bodies[:, 4] / self.horizon, 0.0, 1.0)
         owner, rows, cols = rect_cells(
-            platoon_footprint(poses, p), -CANVAS_HALF, -CANVAS_HALF,
+            platoon_footprint(bodies[:, :3], p), -CANVAS_HALF, -CANVAS_HALF,
             CANVAS_CELL_SIZE, CANVAS_CELLS, CANVAS_CELLS)
         mr, mc = self._masks[target_movement]
         return SparseCanvas(rows.astype(np.int16), cols.astype(np.int16),
-                            np.array(speed)[owner], np.array(ttj)[owner], mr, mc)
+                            speed[owner], ttj[owner], mr, mc)
 
 
 def time_to_join(distance: float, speed: float, params: VehicleParams) -> float:
@@ -135,30 +121,6 @@ def time_to_join(distance: float, speed: float, params: VehicleParams) -> float:
     if distance <= d_to_cap:
         return (-v + math.sqrt(v * v + 2.0 * a * distance)) / a
     return (cap - v) / a + (distance - d_to_cap) / cap
-
-
-def max_platoon_size_for(lengths, headway: float, formation_length: float) -> int:
-    """Largest head count of `lengths` (front first) that fits when formed.
-
-    A formed platoon of the first n vehicles spans sum(lengths[:n]) plus
-    n - 1 intra-platoon gaps; it must fit inside the formation zone.
-    """
-    lengths = list(lengths)
-    if not lengths:
-        raise ValueError("need at least one vehicle length")
-    if any(l <= 0 for l in lengths):
-        raise ValueError("vehicle lengths must be positive")
-    span = lengths[0]
-    if span > formation_length:
-        raise ValueError(f"formation zone {formation_length} m cannot hold even "
-                         f"one vehicle of length {lengths[0]} m")
-    n = 1
-    for l in lengths[1:]:
-        span += headway + l
-        if span > formation_length:
-            break
-        n += 1
-    return n
 
 
 # -- reward factors ---------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Intersection geometry: lanes, turning paths, conflict points, and grid cells.
+"""Intersection geometry: lanes, turning paths, body rectangles, and grid cells.
 
 The intersection is a four-approach junction with three turn-dedicated incoming
 lanes per approach (left / straight / right) and a square central coordination
 zone.  All coordinates are metres in a frame whose origin is the zone centre;
 +x points east and +y points north.  Headings follow the compass convention:
 0 rad is north and angles grow clockwise, so east is pi/2.
+
+Where a body sits on its path is one question, answered for a whole array
+of arcs at once by Movement.poses; the path rasters and the state canvas
+both read it.
 """
 
 from __future__ import annotations
@@ -18,15 +22,6 @@ import numpy as np
 APPROACHES = ("south", "west", "north", "east")
 TURNS = ("left", "straight", "right")
 
-# Sampling resolution (m) used when marching trajectories for conflict search.
-MARCH_STEP = 0.01
-
-
-def heading_vector(heading: float) -> np.ndarray:
-    """Unit forward vector for a compass heading (0 = north, clockwise)."""
-    return np.array([math.sin(heading), math.cos(heading)])
-
-
 def oriented_rect(center_x: float, center_y: float, length: float, width: float,
                   heading: float) -> np.ndarray:
     """Corners (4, 2) of a rectangle centred at (x, y) pointing along heading."""
@@ -37,7 +32,7 @@ def heading_vectors(heading) -> np.ndarray:
     """Unit forward vectors (n, 2) for a sequence of n compass headings.
 
     The sines and cosines come from `math`, one heading at a time, so each
-    vector is the float `heading_vector` gives whichever numpy build runs.
+    vector is the same float whichever numpy build runs.
     """
     heading = np.asarray(heading, dtype=float).ravel().tolist()
     return np.array([(math.sin(h), math.cos(h)) for h in heading]).reshape(-1, 2)
@@ -73,13 +68,6 @@ def msd(speed: float, max_decel: float) -> float:
     return speed * speed / (2.0 * max_decel)
 
 
-def mcd(d1: float, d2: float) -> float:
-    """Minimum coordination distance of a conflict pair: min of the two MSDs."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("stopping distances must be non-negative")
-    return min(d1, d2)
-
-
 class _Line:
     """Straight path segment between two points."""
 
@@ -91,14 +79,10 @@ class _Line:
         self._dir = d / self.length
         self._heading = math.atan2(d[0], d[1]) % (2 * math.pi)
 
-    def point(self, s: float) -> np.ndarray:
-        return self.p0 + self._dir * s
-
-    def heading(self, s: float) -> float:
-        return self._heading
-
-    def sample(self, ss: np.ndarray) -> np.ndarray:
-        return self.p0[None, :] + ss[:, None] * self._dir[None, :]
+    def poses(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, heading) at arcs 0 <= s <= length."""
+        return (self.p0[0] + self._dir[0] * s, self.p0[1] + self._dir[1] * s,
+                np.full(s.shape, self._heading))
 
 
 class _Arc:
@@ -114,24 +98,22 @@ class _Arc:
         self.sweep = float(sweep)
         self.length = abs(sweep) * radius
 
-    def _angle(self, s):
-        return self.a0 + np.sign(self.sweep) * (s / self.radius)
+    def poses(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, heading) at arcs 0 <= s <= length.
 
-    def point(self, s: float) -> np.ndarray:
-        a = self._angle(s)
-        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
-
-    def heading(self, s: float) -> float:
-        a = self._angle(s)
-        if self.sweep >= 0:  # anticlockwise: tangent (-sin, cos)
-            vx, vy = -math.sin(a), math.cos(a)
-        else:
-            vx, vy = math.sin(a), -math.cos(a)
-        return math.atan2(vx, vy) % (2 * math.pi)
-
-    def sample(self, ss: np.ndarray) -> np.ndarray:
-        a = self._angle(ss)
-        return self.center[None, :] + self.radius * np.stack([np.cos(a), np.sin(a)], axis=1)
+        Sines, cosines and the heading's atan2 come from `math`, one arc at
+        a time: numpy's atan2 differs from it in the last bit on some
+        inputs, and a pose must not depend on the numpy build.
+        """
+        a = (self.a0 + np.sign(self.sweep) * (s / self.radius)).tolist()
+        cs = [(math.cos(v), math.sin(v)) for v in a]
+        # the tangent is (-sin, cos) anticlockwise and (sin, -cos) clockwise
+        turn = 1.0 if self.sweep >= 0 else -1.0
+        heading = [math.atan2(-turn * sin, turn * cos) % (2 * math.pi)
+                   for cos, sin in cs]
+        cs = np.array(cs).reshape(-1, 2)
+        return (self.center[0] + self.radius * cs[:, 0],
+                self.center[1] + self.radius * cs[:, 1], np.array(heading))
 
 
 def _rot_cw(p):
@@ -145,9 +127,8 @@ class Movement:
     """One origin-destination traffic movement through the coordination zone.
 
     `path` starts at the stop line (zone boundary) and ends at the zone exit.
-    Arc length 0 is the stop line.  `entry_lane_heading` is the heading of the
-    incoming lane, which the formation zone extends straight behind the stop
-    line for `formation_length` metres.
+    Arc length 0 is the stop line.  The formation zone extends the incoming
+    lane straight behind the stop line for `formation_length` metres.
     """
 
     origin: str
@@ -163,43 +144,20 @@ class Movement:
     def length(self) -> float:
         return self.path.length
 
-    @property
-    def entry_heading(self) -> float:
-        return self.path.heading(0.0)
-
-    def pose(self, s: float) -> tuple[float, float, float]:
-        """(x, y, heading) at arc length s measured from the stop line.
+    def poses(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, heading) arrays at a flat array of arcs s from the stop line.
 
         s < 0 lies on the straight approach lane behind the stop line and
         s > length on the straight exit lane, so vehicle poses stay defined
         while a body straddles the zone boundary.
         """
-        if s < 0:
-            p = self.path.point(0.0) + s * heading_vector(self.entry_heading)
-            return float(p[0]), float(p[1]), self.entry_heading
-        if s > self.path.length:
-            h = self.path.heading(self.path.length)
-            p = self.path.point(self.path.length) + (s - self.path.length) * heading_vector(h)
-            return float(p[0]), float(p[1]), h
-        p = self.path.point(s)
-        return float(p[0]), float(p[1]), self.path.heading(s)
-
-    def sample_points(self, step: float = MARCH_STEP) -> np.ndarray:
-        n = max(2, int(math.floor(self.path.length / step)) + 1)
-        ss = np.linspace(0.0, self.path.length, n)
-        return self.path.sample(ss)
-
-
-@dataclass(frozen=True)
-class ConflictPoint:
-    """Closest-approach point where two movements' paths cross."""
-
-    movement_a: str
-    movement_b: str
-    x: float
-    y: float
-    arc_a: float  # arc length along movement_a's path at the conflict
-    arc_b: float
+        s = np.asarray(s, dtype=float).reshape(-1)
+        on = np.minimum(np.maximum(s, 0.0), self.length)
+        x, y, heading = self.path.poses(on)
+        # straight on from the nearer end of the path; d is 0 on the path
+        d = s - on
+        f = heading_vectors(heading)
+        return x + d * f[:, 0], y + d * f[:, 1], heading
 
 
 class IntersectionLayout:
@@ -280,111 +238,6 @@ def _rotated_path(path, k: int):
     return _Arc(c, path.radius, a0, path.sweep)
 
 
-def conflict_points(a: Movement, b: Movement, clearance: float = 0.9,
-                    step: float = MARCH_STEP) -> list[ConflictPoint]:
-    """Conflict points between two movements' zone paths.
-
-    Both paths are marched at `step` arc-length resolution; a conflict point is
-    the closest-approach sample pair with separation below `clearance`
-    (half a vehicle width by default).  Distinct crossings separated by more
-    than 4x clearance along either path are reported individually.
-    """
-    if a.key == b.key:
-        return []
-    pa = a.sample_points(step)
-    pb = b.sample_points(step)
-    # quick reject on bounding boxes inflated by the clearance
-    if (pa[:, 0].max() + clearance < pb[:, 0].min()
-            or pb[:, 0].max() + clearance < pa[:, 0].min()
-            or pa[:, 1].max() + clearance < pb[:, 1].min()
-            or pb[:, 1].max() + clearance < pa[:, 1].min()):
-        return []
-    # pairwise squared distances, blockwise to bound memory
-    best = _pairwise_minima(pa, pb)
-    d2 = best["d2"]
-    found = []
-    exclusion = 4.0 * clearance
-    live = np.ones(len(pa), dtype=bool)
-    while True:
-        masked = np.where(live, d2, np.inf)
-        i = int(np.argmin(masked))
-        if masked[i] > clearance * clearance:
-            break
-        j = int(best["j"][i])
-        sa = i * (a.length / (len(pa) - 1))
-        sb = j * (b.length / (len(pb) - 1))
-        mid = 0.5 * (pa[i] + pb[j])
-        found.append(ConflictPoint(a.key, b.key, float(mid[0]), float(mid[1]),
-                                   float(sa), float(sb)))
-        # mask out this crossing's neighbourhood along path a
-        lo = max(0, i - int(exclusion / step))
-        hi = min(len(pa), i + int(exclusion / step) + 1)
-        live[lo:hi] = False
-    found.sort(key=lambda cp: cp.arc_a)
-    return found
-
-
-def _pairwise_minima(pa: np.ndarray, pb: np.ndarray, block: int = 2048) -> dict:
-    """For each sample of pa, squared distance and index of nearest pb sample."""
-    n = len(pa)
-    out_d2 = np.full(n, np.inf)
-    out_j = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        diff = pa[lo:hi, None, :] - pb[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        j = np.argmin(d2, axis=1)
-        out_d2[lo:hi] = d2[np.arange(hi - lo), j]
-        out_j[lo:hi] = j
-    return {"d2": out_d2, "j": out_j}
-
-
-class ConflictMap:
-    """All pairwise conflict points of a layout, computed once and cached."""
-
-    def __init__(self, layout: IntersectionLayout, clearance: float = 0.9,
-                 step: float = 0.01):
-        self.layout = layout
-        self.clearance = clearance
-        self._pairs: dict[tuple[str, str], list[ConflictPoint]] = {}
-        keys = sorted(layout.movement_keys)
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                cps = conflict_points(layout.movement(ka), layout.movement(kb),
-                                      clearance=clearance, step=step)
-                if cps:
-                    self._pairs[(ka, kb)] = cps
-
-    def pair_key(self, ka: str, kb: str) -> tuple[str, str]:
-        return (ka, kb) if ka <= kb else (kb, ka)
-
-    def between(self, ka: str, kb: str) -> list[ConflictPoint]:
-        """Conflict points between two movements, oriented so arc_a refers to ka."""
-        key = self.pair_key(ka, kb)
-        cps = self._pairs.get(key, [])
-        if key[0] == ka:
-            return list(cps)
-        return [ConflictPoint(cp.movement_b, cp.movement_a, cp.x, cp.y,
-                              cp.arc_b, cp.arc_a) for cp in cps]
-
-    def conflicts_of(self, key: str) -> list[str]:
-        """Movement keys that conflict with `key`, sorted."""
-        out = set()
-        for (ka, kb) in self._pairs:
-            if ka == key:
-                out.add(kb)
-            elif kb == key:
-                out.add(ka)
-        return sorted(out)
-
-    @property
-    def pair_count(self) -> int:
-        return len(self._pairs)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self._pairs)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Square cell decomposition of the coordination zone.
@@ -403,19 +256,6 @@ class Grid:
     @property
     def cell_size(self) -> float:
         return self.zone_side / self.granularity
-
-    def occupied_cells(self, rects) -> set[tuple[int, int]]:
-        """Cells overlapped with positive area by any rectangle in `rects`.
-
-        `rects` is an iterable of (4, 2) corner arrays.  Touching a cell edge
-        at measure zero does not count as occupancy.
-        """
-        h = self.zone_side / 2.0
-        rects = list(rects)
-        quads = np.asarray(rects, dtype=float) if rects else np.zeros((0, 4, 2))
-        _, rows, cols = rect_cells(quads, -h, -h, self.cell_size,
-                                   self.granularity, self.granularity)
-        return set(zip(rows.tolist(), cols.tolist()))
 
 
 def rect_cells(quads, x0: float, y0: float, cell: float, n_cols: int, n_rows: int,

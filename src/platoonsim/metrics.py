@@ -146,7 +146,3 @@ def export_metrics(log: list, path, format: str) -> None:
     else:
         raise ValueError(f"unknown metrics format {format!r}")
 
-
-def csv_equal(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
-    """Equality over the fields the CSV projection carries."""
-    return all(getattr(a, name) == getattr(b, name) for name in CSV_FIELDS)

@@ -11,6 +11,11 @@ tracker and the FCFS tile reservations; the one at the finest granularity
 serves the safety audit.  Everything mutable lives on the Simulation, so
 episodes are independent given their seeds.
 
+Both layers place bodies through Movement.poses, one call per array of
+arcs: each raster once per movement when it is built, and the canvas once
+per lane for every snapshot of pending sizing decisions, which encode reads
+as one (n, 5) stack of (x, y, heading, speed, ttj).
+
 Step order, repeated T/dt times:
   arrivals -> platoon-size decisions -> formation bookkeeping and
   releases -> zone status scan with priority decisions -> deadlock pass ->
@@ -49,8 +54,8 @@ from .drl.agent import Experience
 from .dynamics import (ON_BAR, Platoon, Vehicle, follow_gap_accel,
                        formation_accel, free_accel, min_gap_in_step,
                        rigid_offsets, step_vehicle, stop_bar_accel, travel_time)
-from .formation import (CanvasVehicle, FormationCanvas, delay_factor,
-                        formation_reward, penalized_wait, time_to_join)
+from .formation import (FormationCanvas, delay_factor, formation_reward,
+                        penalized_wait, time_to_join)
 from .geometry import Grid, msd
 from .metrics import EpisodeMetrics
 from .traffic import ArrivalProcess
@@ -289,25 +294,30 @@ class Simulation:
 
     # -- layer 1: sizing decisions and formation ---------------------------------
 
-    def _canvas_vehicles(self) -> list:
-        out = []
+    def _canvas_vehicles(self) -> np.ndarray:
+        """(n, 5) rows (x, y, heading, speed, ttj) of every queued vehicle,
+        lane by lane in queue order: the stack FormationCanvas.encode reads."""
         p = self.params
         pitch = p.length + p.headway_platoon
+        poses, speed, ttj = [], [], []
         for mk in self.shared.movements:
             lane = self.lanes[mk]
-            move = self.shared.layout.movement(mk)
+            if not lane.queue:
+                continue
             forming = lane.forming
             tail_slot = None
             if forming is not None and forming.members:
                 tail_slot = self.vehicles[forming.members[-1]].route_pos - pitch
+            poses.append(self.shared.layout.movement(mk).poses(
+                [veh.route_pos - self.L for veh in lane.queue]))
             for veh in lane.queue:
-                x, y, heading = move.pose(veh.route_pos - self.L)
+                speed.append(veh.speed)
                 if veh.platoon_id is None and tail_slot is not None:
-                    ttj = time_to_join(tail_slot - veh.route_pos, veh.speed, p)
+                    ttj.append(time_to_join(tail_slot - veh.route_pos, veh.speed, p))
                 else:
-                    ttj = 0.0
-                out.append(CanvasVehicle(x, y, heading, veh.speed, ttj))
-        return out
+                    ttj.append(0.0)
+        x, y, heading = (np.concatenate(part) for part in zip(*poses))
+        return np.stack([x, y, heading, speed, ttj], axis=1)
 
     def _sizing_decisions(self, t: float) -> None:
         pending = [mk for mk in self.shared.movements

@@ -1,15 +1,23 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and test-side tools used by the test suite.
 
-Everything here is computed from first principles (closed-form geometry,
-brute-force integration, dense point sampling) without reusing the package's
-own algorithms, so agreement is meaningful.
+The oracles are computed from first principles (closed-form geometry,
+brute-force integration, dense point sampling) or are the package's former
+one-at-a-time implementations, so agreement with the package is meaningful.
+The tools (the dense conflict-point search, a cell-set view of the batched
+raster, a small-environment training driver, CSV-projection equality) serve
+tests only and have no caller in the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from platoonsim.drl.agent import DQNAgent, Experience
+from platoonsim.geometry import rect_cells
+from platoonsim.metrics import CSV_FIELDS, EpisodeMetrics
 
 TAU = 2 * math.pi
 
@@ -192,7 +200,156 @@ def analytic_conflicts(lane_width: float = 2.5, zone_side: float = 15.0) -> dict
 
 
 # ---------------------------------------------------------------------------
+# conflict points by dense sampling of the package's paths
+
+# Sampling resolution (m) used when marching trajectories for conflict search.
+MARCH_STEP = 0.01
+
+
+@dataclass(frozen=True)
+class ConflictPoint:
+    """Closest-approach point where two movements' paths cross."""
+
+    movement_a: str
+    movement_b: str
+    x: float
+    y: float
+    arc_a: float  # arc length along movement_a's path at the conflict
+    arc_b: float
+
+
+def sample_points(movement, step: float = MARCH_STEP) -> np.ndarray:
+    """(n, 2) points at evenly spaced arcs from 0 to the path's length."""
+    n = max(2, int(math.floor(movement.length / step)) + 1)
+    x, y, _ = movement.poses(np.linspace(0.0, movement.length, n))
+    return np.stack([x, y], axis=1)
+
+
+def conflict_points(a, b, clearance: float = 0.9,
+                    step: float = MARCH_STEP) -> list[ConflictPoint]:
+    """Conflict points between two movements' zone paths.
+
+    Both paths are marched at `step` arc-length resolution; a conflict point is
+    the closest-approach sample pair with separation below `clearance`
+    (half a vehicle width by default).  Distinct crossings separated by more
+    than 4x clearance along either path are reported individually.
+    """
+    if a.key == b.key:
+        return []
+    pa = sample_points(a, step)
+    pb = sample_points(b, step)
+    # quick reject on bounding boxes inflated by the clearance
+    if (pa[:, 0].max() + clearance < pb[:, 0].min()
+            or pb[:, 0].max() + clearance < pa[:, 0].min()
+            or pa[:, 1].max() + clearance < pb[:, 1].min()
+            or pb[:, 1].max() + clearance < pa[:, 1].min()):
+        return []
+    # pairwise squared distances, blockwise to bound memory
+    best = _pairwise_minima(pa, pb)
+    d2 = best["d2"]
+    found = []
+    exclusion = 4.0 * clearance
+    live = np.ones(len(pa), dtype=bool)
+    while True:
+        masked = np.where(live, d2, np.inf)
+        i = int(np.argmin(masked))
+        if masked[i] > clearance * clearance:
+            break
+        j = int(best["j"][i])
+        sa = i * (a.length / (len(pa) - 1))
+        sb = j * (b.length / (len(pb) - 1))
+        mid = 0.5 * (pa[i] + pb[j])
+        found.append(ConflictPoint(a.key, b.key, float(mid[0]), float(mid[1]),
+                                   float(sa), float(sb)))
+        # mask out this crossing's neighbourhood along path a
+        lo = max(0, i - int(exclusion / step))
+        hi = min(len(pa), i + int(exclusion / step) + 1)
+        live[lo:hi] = False
+    found.sort(key=lambda cp: cp.arc_a)
+    return found
+
+
+def _pairwise_minima(pa: np.ndarray, pb: np.ndarray, block: int = 2048) -> dict:
+    """For each sample of pa, squared distance and index of nearest pb sample."""
+    n = len(pa)
+    out_d2 = np.full(n, np.inf)
+    out_j = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        diff = pa[lo:hi, None, :] - pb[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        j = np.argmin(d2, axis=1)
+        out_d2[lo:hi] = d2[np.arange(hi - lo), j]
+        out_j[lo:hi] = j
+    return {"d2": out_d2, "j": out_j}
+
+
+class ConflictMap:
+    """All pairwise conflict points of a layout, computed once.
+
+    The geometric reference the package's shared cell regions are checked
+    against: it samples the paths densely and never rasterizes them.
+    """
+
+    def __init__(self, layout, clearance: float = 0.9, step: float = MARCH_STEP):
+        self.layout = layout
+        self.clearance = clearance
+        self._pairs: dict[tuple[str, str], list[ConflictPoint]] = {}
+        keys = sorted(layout.movement_keys)
+        for i, ka in enumerate(keys):
+            for kb in keys[i + 1:]:
+                cps = conflict_points(layout.movement(ka), layout.movement(kb),
+                                      clearance=clearance, step=step)
+                if cps:
+                    self._pairs[(ka, kb)] = cps
+
+    def pair_key(self, ka: str, kb: str) -> tuple[str, str]:
+        return (ka, kb) if ka <= kb else (kb, ka)
+
+    def between(self, ka: str, kb: str) -> list[ConflictPoint]:
+        """Conflict points between two movements, oriented so arc_a refers to ka."""
+        key = self.pair_key(ka, kb)
+        cps = self._pairs.get(key, [])
+        if key[0] == ka:
+            return list(cps)
+        return [ConflictPoint(cp.movement_b, cp.movement_a, cp.x, cp.y,
+                              cp.arc_b, cp.arc_a) for cp in cps]
+
+    def conflicts_of(self, key: str) -> list[str]:
+        """Movement keys that conflict with `key`, sorted."""
+        out = set()
+        for (ka, kb) in self._pairs:
+            if ka == key:
+                out.add(kb)
+            elif kb == key:
+                out.add(ka)
+        return sorted(out)
+
+    @property
+    def pair_count(self) -> int:
+        return len(self._pairs)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        return sorted(self._pairs)
+
+
+# ---------------------------------------------------------------------------
 # rasterization
+
+
+def occupied_cells(grid, rects) -> set[tuple[int, int]]:
+    """Zone cells of `grid` overlapped with positive area by any rectangle.
+
+    `rects` is an iterable of (4, 2) corner arrays.  Touching a cell edge
+    at measure zero does not count as occupancy.  A set view of the
+    package's batched `geometry.rect_cells`.
+    """
+    h = grid.zone_side / 2.0
+    rects = list(rects)
+    quads = np.asarray(rects, dtype=float) if rects else np.zeros((0, 4, 2))
+    _, rows, cols = rect_cells(quads, -h, -h, grid.cell_size,
+                               grid.granularity, grid.granularity)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def _clip_polygon(poly, edge_fn):
@@ -254,9 +411,51 @@ def raster_cells(rect: np.ndarray, x0: float, y0: float, cell: float,
     return out
 
 
-# The scalar separating-axis raster the package used before it batched the
-# test: one quad at a time, one candidate cell at a time.  The package's
-# batched `geometry.rect_cells` must reproduce it cell for cell.
+# The scalar pose and separating-axis raster the package used before it
+# batched them: one arc, one quad and one candidate cell at a time.  The
+# package's `Movement.poses` and `geometry.rect_cells` must reproduce them
+# bit for bit and cell for cell.
+
+
+def scalar_pose(movement, s: float) -> tuple[float, float, float]:
+    """(x, y, heading) at arc length s measured from the stop line.
+
+    s < 0 lies on the straight approach lane behind the stop line and
+    s > length on the straight exit lane.  Reads only the path's defining
+    points and angles.
+    """
+    path = movement.path
+    if hasattr(path, "radius"):
+        def point(u):
+            a = path.a0 + np.sign(path.sweep) * (u / path.radius)
+            return path.center + path.radius * np.array([math.cos(a), math.sin(a)])
+
+        def heading(u):
+            a = path.a0 + np.sign(path.sweep) * (u / path.radius)
+            if path.sweep >= 0:  # anticlockwise: tangent (-sin, cos)
+                vx, vy = -math.sin(a), math.cos(a)
+            else:
+                vx, vy = math.sin(a), -math.cos(a)
+            return math.atan2(vx, vy) % TAU
+    else:
+        d = path.p1 - path.p0
+
+        def point(u):
+            return path.p0 + d / float(np.hypot(*d)) * u
+
+        def heading(u):
+            return math.atan2(d[0], d[1]) % TAU
+
+    if s < 0:
+        h = heading(0.0)
+        p = point(0.0) + s * np.array([math.sin(h), math.cos(h)])
+        return float(p[0]), float(p[1]), h
+    if s > path.length:
+        h = heading(path.length)
+        p = point(path.length) + (s - path.length) * np.array([math.sin(h), math.cos(h)])
+        return float(p[0]), float(p[1]), h
+    p = point(s)
+    return float(p[0]), float(p[1]), heading(s)
 
 
 def scalar_oriented_rect(center_x: float, center_y: float, length: float,
@@ -330,7 +529,7 @@ def scalar_path_cell_spans(movement, grid, params, march: float = 0.05) -> dict:
     for i in range(n):
         tau = lo_arc + i * march
         seg = min(march, hi_arc - tau)
-        x, y, heading = movement.pose(tau + 0.5 * seg)
+        x, y, heading = scalar_pose(movement, tau + 0.5 * seg)
         rect = scalar_oriented_rect(x, y, seg, params.width, heading)
         for cell in scalar_rect_cells(rect, -half, -half, grid.cell_size,
                                       grid.granularity, grid.granularity):
@@ -341,32 +540,33 @@ def scalar_path_cell_spans(movement, grid, params, march: float = 0.05) -> dict:
     return {cell: (lo, hi + params.length) for cell, (lo, hi) in tube.items()}
 
 
-def scalar_canvas(vehicles, target_movement: str, layout, params,
+def scalar_canvas(bodies, target_movement: str, layout, params,
                   horizon: float, cells: int = 160, cell: float = 2.5):
     """(dense 4-channel canvas, vehicle-cell entry count), one body at a time.
 
-    Channels as in the formation canvas: occupancy, speed fraction,
-    time-to-join fraction, target-lane mask.  Where bodies share a cell the
-    later vehicle's values win.
+    `bodies` holds rows (x, y, heading, speed, ttj) with (x, y) the front
+    bumper.  Channels as in the formation canvas: occupancy, speed
+    fraction, time-to-join fraction, target-lane mask.  Where bodies share
+    a cell the later row's values win.
     """
     half = 0.5 * cells * cell
     out = np.zeros((4, cells, cells))
     nnz = 0
-    for veh in vehicles:
-        f = (math.sin(veh.heading), math.cos(veh.heading))
-        cx = veh.x - 0.5 * params.length * f[0]
-        cy = veh.y - 0.5 * params.length * f[1]
+    for x, y, heading, speed, ttj in np.asarray(bodies, dtype=float).tolist():
+        f = (math.sin(heading), math.cos(heading))
+        cx = x - 0.5 * params.length * f[0]
+        cy = y - 0.5 * params.length * f[1]
         hit = scalar_rect_cells(
-            scalar_oriented_rect(cx, cy, params.length, params.width, veh.heading),
+            scalar_oriented_rect(cx, cy, params.length, params.width, heading),
             -half, -half, cell, cells, cells)
-        speed = min(max(veh.speed / params.v_max, 0.0), 1.0)
-        ttj = min(max(veh.ttj / horizon, 0.0), 1.0)
+        speed = min(max(speed / params.v_max, 0.0), 1.0)
+        ttj = min(max(ttj / horizon, 0.0), 1.0)
         for r, c in hit:
             out[0:3, r, c] = (1.0, speed, ttj)
         nnz += len(hit)
     movement = layout.movement(target_movement)
-    x0, y0, h0 = movement.pose(0.0)
-    x1, y1, _ = movement.pose(-layout.formation_length)
+    x0, y0, h0 = scalar_pose(movement, 0.0)
+    x1, y1, _ = scalar_pose(movement, -layout.formation_length)
     center = np.array([[x0, y0], [x1, y1]]).mean(axis=0)
     strip = scalar_oriented_rect(center[0], center[1], layout.formation_length,
                                  layout.lane_width, h0)
@@ -453,6 +653,42 @@ def value_iteration(n_states: int, n_actions: int, transition, reward,
                 q[s, a] = reward(s, a) + gamma * bootstrap
         if np.max(np.abs(q - prev)) < tol:
             return q
+
+
+def train_loop(env, agent: DQNAgent, episodes: int,
+               max_steps: int) -> list[float]:
+    """Generic episodic driver for small benchmark environments.
+
+    `env.reset() -> (state, mask)` and `env.step(action) -> (state, reward,
+    terminal, mask)`.  Returns per-episode reward sums.  The simulator has
+    its own richer loop; this one exists for self-contained sanity checks
+    of the learning machinery.
+    """
+    returns = []
+    for _ in range(episodes):
+        state, mask = env.reset()
+        total = 0.0
+        for _ in range(max_steps):
+            action = agent.act(state, mask)
+            nxt, reward, terminal, nxt_mask = env.step(action)
+            total += reward
+            agent.remember(Experience(state, action, reward,
+                                      None if terminal else nxt, terminal,
+                                      None if terminal else nxt_mask))
+            if terminal:
+                break
+            state, mask = nxt, nxt_mask
+        returns.append(total)
+    return returns
+
+
+# ---------------------------------------------------------------------------
+# episode records
+
+
+def csv_equal(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
+    """Equality over the fields the CSV projection carries."""
+    return all(getattr(a, name) == getattr(b, name) for name in CSV_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ import pytest
 
 from platoonsim.baselines import (FIXED_PLATOON_SIZE, SIGNAL_PHASES,
                                   ReservationManager, WebsterPlan,
-                                  fixed_platooning_size, order_to_action,
-                                  random_coordination,
+                                  order_to_action, random_coordination,
                                   random_priority_decider)
 from platoonsim.coordination import (PERMS, PathRaster, path_cell_spans,
                                       valid_action_mask)
 from platoonsim.dynamics import VehicleParams
-from platoonsim.geometry import ConflictMap, Grid, default_layout
+from platoonsim.geometry import Grid, default_layout
 from platoonsim.traffic import HIGH_RATES, MODERATE_RATES
+
+from oracles import ConflictMap
 
 PARAMS = VehicleParams()
 LAYOUT = default_layout()
@@ -40,8 +41,6 @@ def make_manager(dt=1.0):
 
 def test_fixed_platooning_size_always_three():
     assert FIXED_PLATOON_SIZE == 3
-    assert fixed_platooning_size() == 3
-    assert fixed_platooning_size({"any": "state"}) == 3
 
 
 # -- random coordination ------------------------------------------------------------

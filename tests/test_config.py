@@ -1,10 +1,13 @@
 """Configuration: defaults, validation, file round-trips, presets."""
 
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import pytest
 
+import platoonsim
 from platoonsim.config import (DESK_OVERRIDES, GRANULARITIES, SimConfig,
                                parse_config_text)
 
@@ -12,7 +15,7 @@ from platoonsim.config import (DESK_OVERRIDES, GRANULARITIES, SimConfig,
 PINNED_DEFAULTS = {
     "l_c": 5.0, "w_c": 1.8, "l_lane": 2.5, "S": 15.0, "L": 200.0,
     "a_max": 5.0, "v_max": 20.0, "d_h": 1.0, "d_h_hat": 1.5,
-    "T": 3600.0, "M": 100, "alpha": 0.001, "gamma": 0.9, "epsilon": 0.1,
+    "T": 3600.0, "M": 100, "gamma": 0.9, "epsilon": 0.1,
     "replay_capacity": 1000, "batch_size": 32, "O": 100, "C": 200,
     "T_m": 60.0, "w1": -1.0, "w2": -1.0, "w3": -1.0,
     "R_deadlock": -10.0, "g": 12,
@@ -125,3 +128,23 @@ def test_derived_quantities():
     assert layout.zone_side == 15.0 and layout.formation_length == 200.0
     fuel = cfg.fuel_model()
     assert fuel.increment(0.0, 0.0, 2.0) == pytest.approx(1.0)
+
+
+def test_every_field_is_read_by_the_package():
+    # a field nothing reads is a knob that changes no run; validation in
+    # __post_init__ does not count as a use
+    read = set()
+
+    def walk(node, in_post_init=False):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            in_post_init = True
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not in_post_init):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, in_post_init)
+
+    for path in Path(platoonsim.__file__).parent.rglob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f.name for f in dataclasses.fields(SimConfig) if f.name not in read]
+    assert unread == []

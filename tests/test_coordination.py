@@ -13,15 +13,13 @@ from platoonsim.coordination import (BAR_MARGIN, COORDINATED,
                                      PlatoonView, SafetyFault,
                                      coordination_reward,
                                      encode_coordination_state,
-                                     enumerate_priority_actions,
                                      order_from_action, path_cell_spans,
                                      valid_action_mask)
 from platoonsim.dynamics import (VehicleParams, free_accel, step_vehicle,
                                  stop_bar_accel)
-from platoonsim.geometry import (ConflictMap, Grid, default_layout, msd,
-                                 oriented_rect)
+from platoonsim.geometry import Grid, default_layout, msd, oriented_rect
 
-from oracles import scalar_path_cell_spans
+from oracles import ConflictMap, occupied_cells, scalar_path_cell_spans
 
 PARAMS = VehicleParams()
 LAYOUT = default_layout()
@@ -87,11 +85,11 @@ def test_path_spans_bracket_direct_rasterization():
     movement = LAYOUT.movement("south-north")
     spans = SPANS["south-north"]
     s = 4.9
-    x, y, heading = movement.pose(s)
+    (x,), (y,), (heading,) = movement.poses([s])
     rect = oriented_rect(x - 0.5 * PARAMS.length * math.sin(heading),
                          y - 0.5 * PARAMS.length * math.cos(heading),
                          PARAMS.length, PARAMS.width, heading)
-    cells = GRID.occupied_cells([rect])
+    cells = occupied_cells(GRID, [rect])
     assert cells == {cell for cell, (lo, hi) in spans.items() if lo <= s <= hi}
 
 
@@ -141,15 +139,6 @@ def test_raster_rows_and_region_table_match_scalar_march(g):
 
 
 # -- priority actions -----------------------------------------------------------
-
-
-def test_enumerate_priority_actions_lexicographic():
-    assert enumerate_priority_actions(2) == [(0, 1), (1, 0)]
-    assert len(enumerate_priority_actions(3)) == 6
-    assert enumerate_priority_actions(4) == list(PERMS)
-    for bad in (0, 1, 5):
-        with pytest.raises(ValueError):
-            enumerate_priority_actions(bad)
 
 
 def test_valid_action_mask_frozen():

@@ -7,9 +7,9 @@ import scipy.stats
 from platoonsim.drl import (Adam, Dense, DQNAgent, Experience, ReLU,
                             ReplayBuffer, Sequential, select_action,
                             td_targets)
-from platoonsim.drl.agent import network_copy, train_loop
+from platoonsim.drl.agent import network_copy
 
-from oracles import value_iteration
+from oracles import train_loop, value_iteration
 
 
 # ---------------------------------------------------------------------------

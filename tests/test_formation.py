@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from platoonsim.config import SimConfig
 from platoonsim.dynamics import VehicleParams
-from platoonsim.formation import (CANVAS_CELLS, CanvasVehicle, FactorNormalizer,
+from platoonsim.formation import (CANVAS_CELLS, FactorNormalizer,
                                   FormationCanvas, FuelModel, SparseCanvas,
                                   delay_factor, formation_reward,
-                                  max_platoon_size_for, penalized_wait,
-                                  time_to_join)
+                                  penalized_wait, time_to_join)
 from platoonsim.geometry import default_layout
 from platoonsim.simulation import run_episode
 
@@ -22,6 +21,11 @@ from oracles import scalar_canvas
 PARAMS = VehicleParams()
 LAYOUT = default_layout()
 CANVAS = FormationCanvas(LAYOUT, PARAMS, horizon=60.0)
+
+
+def bodies(*rows):
+    """The encoder's (n, 5) stack from rows (x, y, heading, speed, ttj)."""
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 # -- canvas geometry ----------------------------------------------------------
@@ -65,8 +69,8 @@ def test_vehicle_occupancy_cells_frozen():
     # front bumper at the south stop line (3.75, -7.5) heading north:
     # body spans y in [-12.5, -7.5], x in [2.85, 4.65]
     # => column 81, rows 75 and 76
-    veh = CanvasVehicle(x=3.75, y=-7.5, heading=0.0, speed=10.0, ttj=30.0)
-    dense = np.asarray(CANVAS.encode([veh], "south-north"))
+    veh = bodies((3.75, -7.5, 0.0, 10.0, 30.0))
+    dense = np.asarray(CANVAS.encode(veh, "south-north"))
     rows, cols = np.nonzero(dense[0])
     assert set(zip(rows.tolist(), cols.tolist())) == {(75, 81), (76, 81)}
     assert dense[1, 75, 81] == pytest.approx(0.5)    # 10 / 20
@@ -77,29 +81,29 @@ def test_vehicle_occupancy_cells_frozen():
 
 
 def test_vehicle_beyond_canvas_is_cropped_out():
-    veh = CanvasVehicle(x=3.75, y=-203.0, heading=0.0, speed=5.0, ttj=10.0)
-    dense = np.asarray(CANVAS.encode([veh], "south-north"))
+    veh = bodies((3.75, -203.0, 0.0, 5.0, 10.0))
+    dense = np.asarray(CANVAS.encode(veh, "south-north"))
     assert dense[0].sum() == 0
 
 
 def test_vehicle_straddling_canvas_edge_keeps_inside_cells():
-    veh = CanvasVehicle(x=3.75, y=-198.0, heading=0.0, speed=5.0, ttj=10.0)
-    dense = np.asarray(CANVAS.encode([veh], "south-north"))
+    veh = bodies((3.75, -198.0, 0.0, 5.0, 10.0))
+    dense = np.asarray(CANVAS.encode(veh, "south-north"))
     rows, cols = np.nonzero(dense[0])
     assert set(zip(rows.tolist(), cols.tolist())) == {(0, 81)}
 
 
 def test_speed_and_ttj_clamped_to_unit_range():
-    veh = CanvasVehicle(x=3.75, y=-50.0, heading=0.0, speed=25.0, ttj=600.0)
-    dense = np.asarray(CANVAS.encode([veh], "south-north"))
+    veh = bodies((3.75, -50.0, 0.0, 25.0, 600.0))
+    dense = np.asarray(CANVAS.encode(veh, "south-north"))
     assert dense[1].max() == 1.0
     assert dense[2].max() == 1.0
 
 
 def test_zone_vehicle_lands_in_central_block():
     # zone cells are rows/cols 77..82
-    veh = CanvasVehicle(x=0.0, y=2.5, heading=math.pi / 2, speed=20.0, ttj=0.0)
-    dense = np.asarray(CANVAS.encode([veh], "west-east"))
+    veh = bodies((0.0, 2.5, math.pi / 2, 20.0, 0.0))
+    dense = np.asarray(CANVAS.encode(veh, "west-east"))
     rows, cols = np.nonzero(dense[0])
     assert rows.size > 0
     assert all(77 <= r <= 82 for r in rows.tolist())
@@ -112,8 +116,7 @@ def test_unknown_movement_rejected():
 
 
 def test_sparse_state_stays_small():
-    vehicles = [CanvasVehicle(3.75, -7.5 - 6.0 * i, 0.0, 10.0, 5.0)
-                for i in range(30)]
+    vehicles = bodies(*[(3.75, -7.5 - 6.0 * i, 0.0, 10.0, 5.0) for i in range(30)])
     state = CANVAS.encode(vehicles, "south-north")
     assert isinstance(state, SparseCanvas)
     assert state.nbytes < 10_000
@@ -122,8 +125,8 @@ def test_sparse_state_stays_small():
 
 
 def test_dense_matches_manual_scatter():
-    veh = CanvasVehicle(x=-3.75, y=50.0, heading=math.pi, speed=8.0, ttj=12.0)
-    state = CANVAS.encode([veh], "north-south")
+    veh = bodies((-3.75, 50.0, math.pi, 8.0, 12.0))
+    state = CANVAS.encode(veh, "north-south")
     dense = np.asarray(state)
     manual = np.zeros((4, 160, 160))
     manual[0, state.rows, state.cols] = 1.0
@@ -138,19 +141,19 @@ def test_encode_matches_scalar_oracle_on_episode_snapshots(monkeypatch):
     snapshots = []
     encode = FormationCanvas.encode
 
-    def recording(canvas, vehicles, target_movement):
-        vehicles = list(vehicles)
-        snapshots.append((canvas, vehicles, target_movement))
-        return encode(canvas, vehicles, target_movement)
+    def recording(canvas, stack, target_movement):
+        snapshots.append((canvas, np.array(stack), target_movement))
+        return encode(canvas, stack, target_movement)
 
     monkeypatch.setattr(FormationCanvas, "encode", recording)
     run_episode(SimConfig.desk(condition=2, T=90.0, policy="coor-plt"),
                 seed=5, calibrating=True, normalizer=FactorNormalizer())
     assert len(snapshots) >= 10
-    assert sum(len(vehicles) for _, vehicles, _ in snapshots) >= 100
-    for canvas, vehicles, target in snapshots:
-        state = encode(canvas, vehicles, target)
-        want, nnz = scalar_canvas(vehicles, target, canvas.layout,
+    assert sum(len(stack) for _, stack, _ in snapshots) >= 100
+    for canvas, stack, target in snapshots:
+        assert stack.shape[1] == 5
+        state = encode(canvas, stack, target)
+        want, nnz = scalar_canvas(stack, target, canvas.layout,
                                   canvas.params, canvas.horizon)
         assert state.rows.size == nnz
         assert np.array_equal(state.dense(), want)
@@ -187,27 +190,6 @@ def test_time_to_join_matches_euler_oracle(distance, speed):
     t = time_to_join(distance, speed, PARAMS)
     t_euler = _euler_time_to_cover(distance, speed, PARAMS.a_max, PARAMS.v_max)
     assert t == pytest.approx(t_euler, abs=5e-3)
-
-
-# -- platoon capacity over explicit length lists ------------------------------
-
-
-def test_max_platoon_size_for_examples():
-    assert max_platoon_size_for([5.0], 1.0, 5.0) == 1
-    assert max_platoon_size_for([5.0, 5.0], 1.0, 11.0) == 2
-    assert max_platoon_size_for([5.0] * 40, 1.0, 200.0) == 33
-    # 33 vehicles span 197 m; a 34th would need 203
-    assert max_platoon_size_for([5.0] * 34, 1.0, 202.9) == 33
-    assert max_platoon_size_for([5.0] * 34, 1.0, 203.0) == 34
-
-
-def test_max_platoon_size_for_errors():
-    with pytest.raises(ValueError, match="cannot hold"):
-        max_platoon_size_for([5.0], 1.0, 4.9)
-    with pytest.raises(ValueError, match="positive"):
-        max_platoon_size_for([5.0, 0.0], 1.0, 100.0)
-    with pytest.raises(ValueError, match="at least one"):
-        max_platoon_size_for([], 1.0, 100.0)
 
 
 # -- reward factors -----------------------------------------------------------

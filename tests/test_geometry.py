@@ -1,4 +1,4 @@
-"""Geometry tests: stopping distances, conflict points, cell occupancy."""
+"""Geometry tests: stopping distances, path poses, conflict points, cell occupancy."""
 
 import math
 
@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim import geometry as geo
 
-from oracles import (analytic_conflicts, euler_stop_distance, raster_cells,
-                     scalar_oriented_rect, scalar_rect_cells)
+from oracles import (ConflictMap, analytic_conflicts, conflict_points,
+                     euler_stop_distance, occupied_cells, raster_cells,
+                     scalar_oriented_rect, scalar_pose, scalar_rect_cells)
+
+LAYOUT = geo.default_layout()
+L_C = 5.0  # vehicle length, m
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +23,11 @@ def layout():
 
 @pytest.fixture(scope="module")
 def cmap(layout):
-    return geo.ConflictMap(layout)
+    return ConflictMap(layout)
 
 
 # ---------------------------------------------------------------------------
-# msd / mcd
+# msd
 
 
 def test_msd_zero_speed():
@@ -50,19 +54,6 @@ def test_msd_monotone_in_speed(v, b):
     assert geo.msd(v + 1.0, b) > geo.msd(v, b)
 
 
-def test_mcd_examples():
-    assert geo.mcd(40.0, 22.5) == 22.5
-    assert geo.mcd(0.0, 10.0) == 0.0
-    # composition with msd at the default limits
-    assert geo.mcd(geo.msd(20.0, 5.0), geo.msd(15.0, 5.0)) == pytest.approx(22.5)
-
-
-@given(st.floats(0, 100), st.floats(0, 100))
-def test_mcd_never_exceeds_either(d1, d2):
-    m = geo.mcd(d1, d2)
-    assert m <= d1 and m <= d2
-
-
 # ---------------------------------------------------------------------------
 # layout structure
 
@@ -81,32 +72,44 @@ def test_twelve_movements_with_correct_destinations(layout):
 def test_straight_path_geometry(layout):
     m = layout.movement("south-north")
     assert m.length == pytest.approx(15.0)
-    x, y, h = m.pose(0.0)
-    assert (x, y) == pytest.approx((3.75, -7.5))
-    assert h == pytest.approx(0.0)  # north
-    x, y, h = m.pose(15.0)
-    assert (x, y) == pytest.approx((3.75, 7.5))
+    x, y, h = m.poses([0.0, 15.0])
+    assert (x[0], y[0]) == pytest.approx((3.75, -7.5))
+    assert h[0] == pytest.approx(0.0)  # north
+    assert (x[1], y[1]) == pytest.approx((3.75, 7.5))
 
 
 def test_turn_arc_lengths_and_exit_headings(layout):
     right = layout.movement("south-east")
     assert right.length == pytest.approx(math.pi / 2 * 1.25)
-    _, _, h = right.pose(right.length)
-    assert h == pytest.approx(math.pi / 2)  # exits eastbound
+    _, _, h = right.poses([right.length])
+    assert h[0] == pytest.approx(math.pi / 2)  # exits eastbound
     left = layout.movement("south-west")
     assert left.length == pytest.approx(math.pi / 2 * 8.75)
-    _, _, h = left.pose(left.length)
-    assert h == pytest.approx(3 * math.pi / 2)  # exits westbound
-    x, y, _ = left.pose(left.length)
-    assert (x, y) == pytest.approx((-7.5, 1.25))
+    x, y, h = left.poses([left.length])
+    assert h[0] == pytest.approx(3 * math.pi / 2)  # exits westbound
+    assert (x[0], y[0]) == pytest.approx((-7.5, 1.25))
 
 
 def test_pose_extends_beyond_zone(layout):
     m = layout.movement("south-north")
-    x, y, h = m.pose(-10.0)
-    assert (x, y) == pytest.approx((3.75, -17.5))
-    x, y, h = m.pose(20.0)
-    assert (x, y) == pytest.approx((3.75, 12.5))
+    x, y, h = m.poses([-10.0, 20.0])
+    assert (x[0], y[0]) == pytest.approx((3.75, -17.5))
+    assert (x[1], y[1]) == pytest.approx((3.75, 12.5))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_poses_match_scalar_pose_bit_for_bit(data):
+    # every movement, from the formation-zone entry to two body lengths past
+    # the zone exit, with both ends of the zone path always included
+    for m in LAYOUT.movements:
+        arcs = data.draw(st.lists(
+            st.floats(-LAYOUT.formation_length, m.length + 2 * L_C),
+            max_size=20), label=m.key) + [0.0, m.length]
+        x, y, h = m.poses(arcs)
+        assert x.shape == y.shape == h.shape == (len(arcs),)
+        got = list(zip(x.tolist(), y.tolist(), h.tolist()))
+        assert got == [scalar_pose(m, s) for s in arcs], m.key
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +117,8 @@ def test_pose_extends_beyond_zone(layout):
 
 
 def test_crossing_straights_single_conflict_near_center(layout):
-    cps = geo.conflict_points(layout.movement("south-north"),
-                              layout.movement("west-east"))
+    cps = conflict_points(layout.movement("south-north"),
+                          layout.movement("west-east"))
     assert len(cps) == 1
     cp = cps[0]
     # frozen from the closed-form oracle
@@ -127,23 +130,23 @@ def test_crossing_straights_single_conflict_near_center(layout):
 
 
 def test_opposing_straights_never_conflict(layout):
-    cps = geo.conflict_points(layout.movement("south-north"),
-                              layout.movement("north-south"))
+    cps = conflict_points(layout.movement("south-north"),
+                          layout.movement("north-south"))
     assert cps == []
 
 
 def test_left_turn_conflicts_frozen_values(layout):
     # south-north straight vs east-south left: frozen oracle location
-    cps = geo.conflict_points(layout.movement("east-south"),
-                              layout.movement("south-north"))
+    cps = conflict_points(layout.movement("east-south"),
+                          layout.movement("south-north"))
     assert len(cps) == 1
     assert cps[0].x == pytest.approx(3.75, abs=0.02)
     assert cps[0].y == pytest.approx(0.4057, abs=0.02)
     assert cps[0].arc_a == pytest.approx(3.8755, abs=0.02)
     assert cps[0].arc_b == pytest.approx(7.9057, abs=0.02)
     # adjacent left-left crossing
-    cps = geo.conflict_points(layout.movement("south-west"),
-                              layout.movement("west-north"))
+    cps = conflict_points(layout.movement("south-west"),
+                          layout.movement("west-north"))
     assert len(cps) == 1
     assert cps[0].x == pytest.approx(-2.9931, abs=0.02)
     assert cps[0].y == pytest.approx(0.0, abs=0.02)
@@ -188,16 +191,16 @@ def test_small_body_centered_in_one_cell():
     g = geo.Grid(granularity=12)
     # cell (6, 6) spans [0, 1.25) x [0, 1.25); 1x1 body centred inside it
     rect = geo.oriented_rect(0.625, 0.625, 1.0, 1.0, heading=0.0)
-    assert g.occupied_cells([rect]) == {(6, 6)}
+    assert occupied_cells(g, [rect]) == {(6, 6)}
 
 
 def test_vehicle_column_occupancy_depends_on_offset():
     g = geo.Grid(granularity=12)
     # 5 m long, 1 m wide body aligned with a column; cell size 1.25 m
     aligned = geo.oriented_rect(0.625, 0.0, 5.0, 1.0, heading=0.0)
-    assert len(g.occupied_cells([aligned])) == 4  # 5 m = exactly 4 cells
+    assert len(occupied_cells(g, [aligned])) == 4  # 5 m = exactly 4 cells
     shifted = geo.oriented_rect(0.625, 0.3, 5.0, 1.0, heading=0.0)
-    assert len(g.occupied_cells([shifted])) == 5
+    assert len(occupied_cells(g, [shifted])) == 5
 
 
 def test_occupancy_matches_sampling_oracle():
@@ -208,7 +211,7 @@ def test_occupancy_matches_sampling_oracle():
         heading = rng.uniform(0, 2 * math.pi)
         rect = geo.oriented_rect(cx, cy, 5.0, 1.8, heading)
         for g in (g6, g12):
-            got = g.occupied_cells([rect])
+            got = occupied_cells(g, [rect])
             want = raster_cells(rect, -7.5, -7.5, g.cell_size,
                                 g.granularity, g.granularity)
             assert got == want, (cx, cy, heading, g.granularity)
@@ -218,8 +221,8 @@ def test_occupancy_matches_sampling_oracle():
 @settings(max_examples=40, deadline=None)
 def test_refining_grid_stays_inside_coarse_cells(cx, cy, heading):
     rect = geo.oriented_rect(cx, cy, 5.0, 1.8, heading)
-    coarse = geo.Grid(6).occupied_cells([rect])
-    fine = geo.Grid(12).occupied_cells([rect])
+    coarse = occupied_cells(geo.Grid(6), [rect])
+    fine = occupied_cells(geo.Grid(12), [rect])
     for (r, c) in fine:
         assert (r // 2, c // 2) in coarse
 
@@ -227,7 +230,7 @@ def test_refining_grid_stays_inside_coarse_cells(cx, cy, heading):
 def test_rect_outside_zone_occupies_nothing():
     g = geo.Grid(12)
     rect = geo.oriented_rect(0.0, -30.0, 5.0, 1.8, heading=0.0)
-    assert g.occupied_cells([rect]) == set()
+    assert occupied_cells(g, [rect]) == set()
 
 
 # -- batched raster against the scalar oracle -----------------------------------

@@ -17,12 +17,11 @@ from platoonsim.config import SimConfig
 from platoonsim.dynamics import msd
 from platoonsim.formation import (FactorNormalizer, delay_factor,
                                   formation_reward, penalized_wait)
-from platoonsim.metrics import csv_equal
 from platoonsim.simulation import (PLATOON_POLICIES, SafetyAuditError,
                                    Simulation, run_episode, shared_context,
                                    webster_rates, _Window)
 
-from oracles import clamped_travel
+from oracles import clamped_travel, csv_equal
 
 DESK = SimConfig.desk(condition=2, seed=3)
 SHARED = shared_context(DESK)
