@@ -298,7 +298,6 @@ class CoordinationTracker:
         self.params = params
         self.dt = dt
         self._groups: dict[int, _Group] = {}
-        self._active_groups: dict[int, set] = {}
         self._last_group: dict[int, int] = {}
         self._suppressed: dict[tuple[int, int], int] = {}
         self._next_gid = 0
@@ -388,10 +387,13 @@ class CoordinationTracker:
         self._check_safety(by_pid, bars, t)
 
         labels = {}
-        for pid, view in by_pid.items():
-            gids = self._active_groups.get(pid)
-            if gids:
-                labels[pid] = StatusLabel(pid, COORDINATED, min(gids))
+        for pid in by_pid:
+            # the oldest group still waiting on this platoon's role
+            gid = min((gid for gid, group in self._groups.items()
+                       if pid in group.members and pid not in group.role_done),
+                      default=None)
+            if gid is not None:
+                labels[pid] = StatusLabel(pid, COORDINATED, gid)
             elif bars[pid] is not None:
                 labels[pid] = StatusLabel(pid, INDEPENDENT_BLOCKED)
             else:
@@ -413,7 +415,6 @@ class CoordinationTracker:
                         group.exited[pid] = t
                 if pid not in group.role_done and self._role_complete(group, pid, by_pid):
                     group.role_done[pid] = t
-                    self._active_groups.get(pid, set()).discard(gid)
             if len(group.exited) == len(group.members):
                 completed.append(self._finish_group(group, t))
                 del self._groups[gid]
@@ -617,7 +618,6 @@ class CoordinationTracker:
             if prev_gid is not None and prev_gid in self._groups and prev_gid != gid:
                 self._groups[prev_gid].next_state[pid] = state
                 self._groups[prev_gid].next_mask[pid] = mask
-            self._active_groups.setdefault(pid, set()).add(gid)
             self._last_group[pid] = gid
         return gid
 

@@ -4,24 +4,23 @@ Inside the coordination zone a platoon can end up stopped because the
 cells it needs next are held by another platoon, which is itself stopped
 for the same reason.  Writing "u waits on v" as a directed edge, a
 deadlock is exactly a cycle: nobody on it can move until someone else
-does.  Detection decomposes the graph into strongly connected components
-and enumerates the elementary cycles inside each nontrivial component.
-Every cycle is one deadlock event: each platoon on it has the platoon-size
-decision that created it re-emitted with the deadlock punishment, the
-sizing agent takes one immediate gradient step per punished experience,
-and the platoon is removed from the zone.
+does.  Detection enumerates every elementary cycle with one min-rooted
+depth-first walk over the whole graph; the zone holds at most one platoon
+per movement, so the graph has at most twelve nodes and needs no pruning
+beyond the walk's own.  Every cycle is one deadlock event: each platoon
+on it has the platoon-size decision that created it re-emitted with the
+deadlock punishment, the sizing agent takes one immediate gradient step
+per punished experience, and the platoon is removed from the zone.
 
 Cycle enumeration is written directly on dict adjacency rather than on a
-graph library: the detector is exercised against a brute-force oracle over
-every digraph on up to five nodes, and per-call library overhead at that
-volume swamps a one-minute budget.
+graph library: the detector runs on every step with a stopped, blocked
+platoon, and the tests check it against a brute-force oracle over every
+digraph on up to four nodes and seeded random digraphs on up to eight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-R_DEADLOCK = -10.0
 
 
 @dataclass(frozen=True)
@@ -62,82 +61,6 @@ def build_wait_graph(blocking: dict) -> WaitForGraph:
     return WaitForGraph(nodes=order, succ=succ)
 
 
-def _strongly_connected(nodes, succ) -> list:
-    # iterative Tarjan; recursion depth is unbounded by caller input
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    comps: list = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            descended = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    descended = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _cycles_within(comp, succ) -> list:
-    """Every elementary cycle whose vertices all lie in `comp`.
-
-    Each cycle is reported exactly once, rotated so its smallest vertex
-    leads: the search rooted at s only walks vertices ordered after s, so
-    a cycle is found from its minimum vertex and nowhere else.
-    """
-    members = sorted(comp)
-    rank = {v: i for i, v in enumerate(members)}
-    cycles = []
-
-    def walk(start, v, path, on_path):
-        for w in succ.get(v, ()):
-            if w == start:
-                cycles.append(tuple(path))
-                continue
-            r = rank.get(w)
-            if r is not None and r > rank[start] and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                walk(start, w, path, on_path)
-                path.pop()
-                on_path.discard(w)
-
-    for start in members:
-        walk(start, start, [start], {start})
-    return cycles
-
-
 def detect_deadlocks(graph: WaitForGraph) -> list:
     """Every elementary cycle of the wait-for graph.
 
@@ -146,31 +69,51 @@ def detect_deadlocks(graph: WaitForGraph) -> list:
     the graph is acyclic.  A self-loop counts as a length-1 cycle so the
     detector stays sound on arbitrary digraphs, though build_wait_graph
     never produces one.
+
+    The search rooted at s only walks vertices ordered after s, so each
+    cycle is found from its minimum vertex and nowhere else (Tiernan's
+    elementary-circuit search).
     """
+    rank = {v: i for i, v in enumerate(sorted(graph.nodes))}
     cycles = []
-    for comp in _strongly_connected(graph.nodes, graph.succ):
-        if len(comp) == 1:
-            v = comp[0]
-            if v in graph.succ.get(v, ()):
-                cycles.append((v,))
-            continue
-        cycles.extend(_cycles_within(comp, graph.succ))
+    for start in rank:
+        _close_cycles(graph.succ, rank, [start], {start}, cycles)
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
 
+def _close_cycles(succ, rank, path, on_path, cycles) -> None:
+    """Append every cycle that closes the simple path `path` back to its
+    start, extending it only through vertices ranked after the start.
+
+    A module-level recursion rather than a nested closure: a closure that
+    calls itself is a reference cycle, left for the garbage collector on
+    every detector call.
+    """
+    start = path[0]
+    for w in succ.get(path[-1], ()):
+        if w == start:
+            cycles.append(tuple(path))
+        elif rank.get(w, -1) > rank[start] and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            _close_cycles(succ, rank, path, on_path, cycles)
+            path.pop()
+            on_path.discard(w)
+
+
 def punish_and_clear(cycles, origins: dict, agent, remove_fn,
-                     reward: float = R_DEADLOCK) -> list:
+                     reward: float) -> list:
     """Resolve detected deadlocks: punish the sizing decisions, clear the zone.
 
     For each platoon on each cycle, the platoon-size experience that
-    created it (`origins[pid]`) is re-emitted with the punishment reward
-    (R_DEADLOCK unless overridden) and pushed to the sizing agent's
-    replay, the agent takes one immediate
-    gradient step, and `remove_fn(pid)` evicts the platoon's vehicles from
-    the zone.  A platoon appearing on several cycles is processed once.
-    Platoons without an origin experience (spawned by a non-learning
-    policy) or with no agent are removed without a training event.
+    created it (`origins[pid]`) is re-emitted with the punishment
+    `reward` and pushed to the sizing agent's replay, the agent takes one
+    immediate gradient step, and `remove_fn(pid)` evicts the platoon's
+    vehicles from the zone.  A platoon appearing on several cycles is
+    processed once.  Platoons without an origin experience (spawned by a
+    non-learning policy) or with no agent are removed without a training
+    event.
 
     Returns one DeadlockEvent per cycle; the episode deadlock counter is
     the number of events.  Removing every on-cycle platoon leaves the

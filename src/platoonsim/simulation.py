@@ -109,10 +109,11 @@ def shared_context(config: SimConfig) -> SharedContext:
         return hit
     layout = config.layout()
     params = config.vehicle_params()
-    raster = PathRaster.build(layout, Grid(config.g), params)
+    raster = PathRaster.build(layout, Grid(config.g, layout.zone_side), params)
     ctx = SharedContext(
         layout=layout, params=params, raster=raster,
-        audit=PathRaster.build(layout, Grid(AUDIT_GRANULARITY), params),
+        audit=PathRaster.build(layout, Grid(AUDIT_GRANULARITY, layout.zone_side),
+                               params),
         canvas=FormationCanvas(layout, params, horizon=config.T_m),
         zone_len={m.key: m.length for m in layout.movements},
         movements=raster.movements)
@@ -126,23 +127,27 @@ def shared_context(config: SimConfig) -> SharedContext:
 class _Window:
     """One platoon-size action and its reward accounting.
 
-    Factors accrue for every vehicle present in the lane's formation zone
-    between the decision and the platoon's full exit from the network; the
-    reward is computed at that exit.  next_state is the canvas at the
-    lane's next sizing decision, which normally precedes the exit.
+    A window is open, and listed in Simulation.window_of under its pid,
+    from the decision until its platoon fully exits the network or is
+    removed by a deadlock.  While open, factors accrue for every vehicle
+    present in the lane's formation zone; the reward is computed at the
+    exit.  next_state is the canvas at the lane's next sizing decision,
+    which normally precedes the exit; None marks a terminal experience.
     """
 
     pid: int
     movement: str
     state: object
     action: int
-    t_decision: float
     acc: dict = field(default_factory=dict)  # vid -> [wait, speed_sum, steps, fuel]
     next_state: object = None
-    has_next: bool = False
     reward: float | None = None
     emitted: bool = False
-    punished: bool = False
+
+    def experience(self, reward: float) -> Experience:
+        return Experience(state=self.state, action=self.action, reward=reward,
+                          next_state=self.next_state,
+                          terminal=self.next_state is None)
 
 
 @dataclass
@@ -152,7 +157,6 @@ class _Lane:
     backlog: deque = field(default_factory=deque)  # arrived, waiting for road room
     forming: Platoon | None = None
     released: Platoon | None = None
-    windows: list = field(default_factory=list)    # accruing windows, oldest first
     last_window: _Window | None = None             # awaiting its next_state
 
 
@@ -329,9 +333,8 @@ class Simulation:
         for mk in pending:
             lane = self.lanes[mk]
             state = self.shared.canvas.encode(snapshot, mk)
-            if lane.last_window is not None and not lane.last_window.has_next:
+            if lane.last_window is not None and lane.last_window.next_state is None:
                 lane.last_window.next_state = state
-                lane.last_window.has_next = True
                 self._maybe_emit(lane.last_window, terminal=False)
             size = self._choose_size(state)
             pid = self._next_pid
@@ -344,8 +347,7 @@ class Simulation:
             hist[size] = hist.get(size, 0) + 1
             self.metrics.layer1_actions += 1
             if self.windows_enabled:
-                window = _Window(pid, mk, state, size - 1, t)
-                lane.windows.append(window)
+                window = _Window(pid, mk, state, size - 1)
                 lane.last_window = window
                 self.window_of[pid] = window
 
@@ -434,14 +436,6 @@ class Simulation:
 
     # -- deadlock pass -------------------------------------------------------------
 
-    def _origin_experience(self, pid: int):
-        window = self.window_of.get(pid)
-        if window is None:
-            return None
-        return Experience(state=window.state, action=window.action, reward=0.0,
-                          next_state=window.next_state if window.has_next else None,
-                          terminal=not window.has_next)
-
     def _deadlock_pass(self, t: float, plan) -> None:
         stationary = {pid: blockers for pid, blockers in plan.blocking.items()
                       if blockers and self.platoons[pid].speed < STANDSTILL}
@@ -450,21 +444,22 @@ class Simulation:
         cycles = detect_deadlocks(build_wait_graph(stationary))
         if not cycles:
             return
-        origins = {pid: self._origin_experience(pid)
-                   for cycle in cycles for pid in cycle}
-        self._removal_time = t
+        punishment = self.config.R_deadlock
+        origins = {pid: self.window_of[pid].experience(punishment)
+                   for cycle in cycles for pid in cycle if pid in self.window_of}
         agent = self.layer1 if self.training else None
-        events = punish_and_clear(cycles, origins, agent, self._remove_platoon,
-                                  reward=self.config.R_deadlock)
+        events = punish_and_clear(cycles, origins, agent,
+                                  lambda pid: self._remove_platoon(pid, t),
+                                  punishment)
         self.metrics.deadlock_events += len(events)
         for event in events:
-            self.metrics.layer1_reward += self.config.R_deadlock * len(event.punished)
+            self.metrics.layer1_reward += punishment * len(event.punished)
 
-    def _remove_platoon(self, pid: int) -> None:
-        """Evict a wedged platoon: vehicles leave at the zone boundary, tagged."""
+    def _remove_platoon(self, pid: int, t: float) -> None:
+        """Evict a wedged platoon at time t: its vehicles leave at the zone
+        boundary, tagged, and its sizing window closes without a reward."""
         platoon = self.platoons[pid]
         lane = self.lanes[platoon.movement]
-        t = self._removal_time
         for vid in platoon.members:
             veh = self.vehicles[vid]
             if veh.exited:
@@ -479,10 +474,7 @@ class Simulation:
         lane.queue = [v for v in lane.queue if v.vid not in member_set]
         if lane.released is platoon:
             lane.released = None
-        window = self.window_of.pop(pid, None)
-        if window is not None:
-            window.punished = True
-            lane.windows = [w for w in lane.windows if w is not window]
+        self.window_of.pop(pid, None)
 
     # -- FCFS requests ----------------------------------------------------------
 
@@ -593,36 +585,31 @@ class Simulation:
     # -- window accrual, exits, rewards --------------------------------------------
 
     def _accrue_windows(self) -> None:
-        if not self.windows_enabled:
-            return
         dt = self.dt
-        for mk in self.shared.movements:
-            lane = self.lanes[mk]
-            if not lane.windows:
-                continue
-            forming = [v for v in lane.queue if v.route_pos < self.L + ON_BAR]
-            for window in lane.windows:
-                for veh in forming:
-                    acc = window.acc.get(veh.vid)
-                    if acc is None:
-                        acc = window.acc[veh.vid] = [0.0, 0.0, 0, 0.0]
-                    if veh.speed < STANDSTILL:
-                        acc[0] += dt
-                    acc[1] += veh.speed
-                    acc[2] += 1
-                    acc[3] += self._step_fuel[veh.vid]
+        for window in self.window_of.values():
+            for veh in self.lanes[window.movement].queue:
+                if veh.route_pos >= self.L + ON_BAR:
+                    continue   # inside the zone, past the formation zone
+                acc = window.acc.get(veh.vid)
+                if acc is None:
+                    acc = window.acc[veh.vid] = [0.0, 0.0, 0, 0.0]
+                if veh.speed < STANDSTILL:
+                    acc[0] += dt
+                acc[1] += veh.speed
+                acc[2] += 1
+                acc[3] += self._step_fuel[veh.vid]
 
     def _maybe_emit(self, window: _Window, terminal: bool) -> None:
-        if window.emitted or window.punished or window.reward is None:
+        """Remember a rewarded window once its next state is known, or as a
+        terminal experience at the episode cut.  A window a deadlock removed
+        never gets a reward, so it is never emitted here."""
+        if window.emitted or window.reward is None:
             return
-        if not window.has_next and not terminal:
+        if window.next_state is None and not terminal:
             return
         window.emitted = True
         if self.training and self.layer1 is not None:
-            self.layer1.remember(Experience(
-                state=window.state, action=window.action, reward=window.reward,
-                next_state=window.next_state if window.has_next else None,
-                terminal=not window.has_next))
+            self.layer1.remember(window.experience(window.reward))
 
     def _raw_factors(self, window: _Window) -> list:
         """(penalized wait, delay, fuel) per vehicle seen by this window."""
@@ -685,9 +672,8 @@ class Simulation:
                     self.vehicles[vid].exited for vid in platoon.members):
                 lane.released = None
                 window = self.window_of.pop(platoon.pid, None)
-                if window is not None and not window.punished:
+                if window is not None:
                     closing.append(window)
-                    lane.windows = [w for w in lane.windows if w is not window]
         if closing:
             self._close_windows(closing)
 

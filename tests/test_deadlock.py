@@ -2,9 +2,8 @@
 
 The oracle enumerates elementary cycles straight from the definition: every
 vertex subset, every cyclic ordering, kept when all its edges exist.  The
-detector must agree exactly on every digraph up to 4 nodes (the acceptance
-gate widens this to 5 plus large random graphs) and on seeded random
-digraphs up to 8 nodes.
+detector must agree exactly on every digraph up to 4 nodes and on 300
+seeded random digraphs up to 8 nodes.
 """
 
 import itertools
@@ -12,13 +11,16 @@ import itertools
 import numpy as np
 import pytest
 
-from platoonsim.deadlock import (R_DEADLOCK, DeadlockEvent, WaitForGraph,
+from platoonsim.config import SimConfig
+from platoonsim.deadlock import (DeadlockEvent, WaitForGraph,
                                  build_wait_graph, detect_deadlocks,
                                  punish_and_clear)
 from platoonsim.drl.agent import DQNAgent, Experience
 from platoonsim.drl.layers import Dense, Flatten, ReLU
 from platoonsim.drl.network import Sequential
 from platoonsim.drl.replay import ReplayBuffer
+
+R_DEADLOCK = SimConfig().R_deadlock
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -181,7 +183,8 @@ def test_one_triangle_three_punished_one_event():
     agent = tiny_agent()
     origins = {1: origin(0, 1), 2: origin(2, 2), 3: origin(4, 3)}
     removed = []
-    events = punish_and_clear([(1, 2, 3)], origins, agent, removed.append)
+    events = punish_and_clear([(1, 2, 3)], origins, agent, removed.append,
+                              R_DEADLOCK)
     assert events == [DeadlockEvent(cycle=(1, 2, 3), punished=(1, 2, 3),
                                     removed=(1, 2, 3))]
     assert removed == [1, 2, 3]
@@ -200,7 +203,7 @@ def test_platoon_on_two_cycles_punished_once_counted_twice():
     origins = {pid: origin(pid, pid) for pid in (1, 2, 3)}
     removed = []
     events = punish_and_clear([(1, 2), (2, 3)], origins, agent,
-                              removed.append)
+                              removed.append, R_DEADLOCK)
     assert [e.cycle for e in events] == [(1, 2), (2, 3)]
     assert events[0].punished == (1, 2)
     assert events[1].punished == (3,)
@@ -212,7 +215,7 @@ def test_missing_origin_removal_only():
     agent = tiny_agent()
     removed = []
     events = punish_and_clear([(1, 2)], {1: origin(1, 1)}, agent,
-                              removed.append)
+                              removed.append, R_DEADLOCK)
     assert events[0].punished == (1,)
     assert events[0].removed == (1, 2)
     assert removed == [1, 2]
@@ -223,14 +226,15 @@ def test_missing_origin_removal_only():
 def test_no_agent_removal_only():
     removed = []
     events = punish_and_clear([(4, 9)], {4: origin(0, 4)}, None,
-                              removed.append)
+                              removed.append, R_DEADLOCK)
     assert events == [DeadlockEvent(cycle=(4, 9), punished=(),
                                     removed=(4, 9))]
     assert removed == [4, 9]
 
 
 def test_no_cycles_is_a_noop():
-    assert punish_and_clear([], {}, None, lambda pid: pytest.fail()) == []
+    assert punish_and_clear([], {}, None, lambda pid: pytest.fail(),
+                            R_DEADLOCK) == []
 
 
 def test_wedge_resolution_is_idempotent():
@@ -241,7 +245,7 @@ def test_wedge_resolution_is_idempotent():
     cycles = detect_deadlocks(build_wait_graph(blocking))
     assert cycles == [(1, 2, 3)]
     gone = []
-    punish_and_clear(cycles, {}, None, gone.append)
+    punish_and_clear(cycles, {}, None, gone.append, R_DEADLOCK)
     survivors = {u: w - set(gone)
                  for u, w in blocking.items() if u not in gone}
     assert detect_deadlocks(build_wait_graph(survivors)) == []

@@ -81,6 +81,19 @@ def test_every_policy_completes_cleanly(policy):
     m.check_conservation()
 
 
+def test_rasters_span_the_layouts_zone():
+    # on a wider junction the grids cover its whole zone, so every straight
+    # body is tracked until its tail clears the far edge
+    cfg = DESK.override(l_lane=3.0, S=18.0)
+    ctx = shared_context(cfg)
+    for raster in (ctx.raster, ctx.audit):
+        assert raster.grid.zone_side == ctx.layout.zone_side
+        reach = dict(zip(raster.movements, raster.reach))
+        for move in ctx.layout.movements:
+            if move.turn == "straight":
+                assert reach[move.key] == pytest.approx(move.length + cfg.l_c)
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         Simulation(DESK, policy="teleport", shared=SHARED)
@@ -233,10 +246,9 @@ def test_shared_close_reward_over_union():
     sim.normalizer = FactorNormalizer({"wait": (0.0, 1.0), "delay": (0.0, 1.0),
                                        "fuel": (0.0, 100.0)})
     w1 = _Window(pid=1, movement="west-east", state=None, action=2,
-                 t_decision=0.0,
                  acc={0: [30.0, 300.0, 20, 50.0], 1: [12.0, 160.0, 10, 20.0]})
     w2 = _Window(pid=2, movement="south-north", state=None, action=4,
-                 t_decision=0.0, acc={7: [60.0, 100.0, 10, 80.0]})
+                 acc={7: [60.0, 100.0, 10, 80.0]})
     sim._close_windows([w1, w2])
 
     cfg = sim.config
@@ -257,7 +269,7 @@ def test_calibration_observes_instead_of_rewarding():
     sim = scripted_sim({}, policy="coor-plt")
     sim.normalizer = norm
     window = _Window(pid=1, movement="west-east", state=None, action=0,
-                     t_decision=0.0, acc={0: [30.0, 300.0, 20, 50.0]})
+                     acc={0: [30.0, 300.0, 20, 50.0]})
     sim._close_windows([window])
     assert window.reward == 0.0
     assert norm.calibrated
@@ -281,6 +293,50 @@ def test_deadlock_removal_keeps_conservation():
     removed = [v for v in sim.vehicles.values() if v.removed_by_deadlock]
     assert len(removed) == m.deadlock_removed
     assert all(v.exit_time is not None for v in removed)
+    m.check_conservation()
+
+
+class _PushList(list):
+    push = list.append
+
+
+class StubSizingAgent:
+    """Always picks size 3; counts what the engine hands it."""
+
+    def __init__(self):
+        self.replay = _PushList()
+        self.remembered = 0
+        self.train_steps = 0
+
+    def act(self, state, greedy=False):
+        return 2
+
+    def remember(self, exp):
+        self.remembered += 1
+
+    def train_step(self):
+        self.train_steps += 1
+
+
+def test_deadlock_punishes_sizing_experiences_through_the_engine():
+    # the conservation scenario under rc while training: the wedged
+    # platoons' sizing decisions go back to the agent with R_deadlock
+    agent = StubSizingAgent()
+    cfg = DESK.override(T=120.0, policy="rc")
+    sim = Simulation(cfg, seed=0, layer1=agent, training=True,
+                     normalizer=FactorNormalizer({"wait": (0.0, 1.0),
+                                                  "delay": (0.0, 1.0),
+                                                  "fuel": (0.0, 100.0)}),
+                     shared=SHARED)
+    sim.arrivals = ScriptedArrivals({0.0: {"east-south": 1, "south-north": 1,
+                                           "west-east": 1}})
+    m = sim.run()
+    assert m.deadlock_events == 1
+    assert m.deadlock_removed == 3
+    assert [exp.reward for exp in agent.replay] == [cfg.R_deadlock] * 3
+    assert agent.train_steps == 3
+    assert agent.remembered == 0
+    assert m.layer1_reward == 3 * cfg.R_deadlock
     m.check_conservation()
 
 
