@@ -1,11 +1,11 @@
 """Alternative control policies run against the same environment.
 
-Two are ablations of the learned controller: fixed-size platooning keeps
-the learned priority agents but always forms platoons of three, and
-random coordination keeps learned sizing but draws passing priorities
-uniformly.  Two are conventional references: a Webster fixed-time signal
-plan, and a first-come-first-served space-time tile reservation scheme
-for individual vehicles.
+AGENT_LAYERS says which DQN layers each platoon policy learns: coor-plt
+both, fixed-size platooning (fp) only priorities, always forming platoons
+of three, and random coordination (rc) only sizing, drawing passing
+priorities uniformly.  The conventional references learn neither: a
+Webster fixed-time signal plan, and a first-come-first-served space-time
+tile reservation scheme for individual vehicles.
 
 All four consume the same geometry, dynamics, and arrival streams as the
 learned controller, so paired comparisons under a common seed are
@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordination import PERMS, PathRaster
+from .coordination import K_MAX, PERMS, PathRaster
 # perfbench/instrument.py wraps path_cell_spans under this module's name
 from .coordination import path_cell_spans  # noqa: F401
 from .dynamics import VehicleParams, free_accel, step_vehicle
 
-POLICY_KINDS = ("coor-plt", "fp", "rc", "webster", "fcfs-reservation")
+#: (learns sizing, learns priorities) for each platoon policy
+AGENT_LAYERS = {"coor-plt": (True, True), "fp": (False, True), "rc": (True, False)}
+PLATOON_POLICIES = tuple(AGENT_LAYERS)
+POLICY_KINDS = PLATOON_POLICIES + ("webster", "fcfs-reservation")
 
 FIXED_PLATOON_SIZE = 3
 
@@ -32,41 +35,20 @@ FIXED_PLATOON_SIZE = 3
 BUFFER_STEPS = 1
 
 
-def random_coordination(members, rng: np.random.Generator) -> tuple:
-    """Uniform-random passing priority over the conflict platoons.
-
-    Returns the members as a tuple in priority order, highest first;
-    a single member is its own order.
-    """
-    members = list(members)
-    if len(members) == 1:
-        return tuple(members)
-    return tuple(members[i] for i in rng.permutation(len(members)))
-
-
-def order_to_action(members, order) -> int:
-    """Index of the priority action that realizes `order` over `members`.
-
-    Slot r of an action permutation names the member holding rank r, so
-    the action is the permutation whose leading slots list each ordered
-    member's position in the canonical member list.
-    """
-    members = list(members)
-    if sorted(order) != sorted(members):
-        raise ValueError(f"order {order} is not a permutation of {members}")
-    slots = tuple(members.index(p) for p in order)
-    k = len(members)
-    for action, perm in enumerate(PERMS):
-        if perm[:k] == slots:
-            return action
-    raise ValueError(f"no action realizes slots {slots}")
+def agent_layers(policy: str) -> tuple:
+    """(needs sizing agent, needs priority agent) for a policy kind."""
+    return AGENT_LAYERS.get(policy, (False, False))
 
 
 def random_priority_decider(rng: np.random.Generator):
-    """decide_fn for the zone tracker: ignores the state, draws uniformly."""
+    """decide_fn for the zone tracker: ignores the state and draws one of
+    the group's k! passing orders uniformly, as the action whose leading
+    slots are the drawn permutation and whose tail is the identity."""
 
     def decide(_state, _mask, members) -> int:
-        return order_to_action(members, random_coordination(members, rng))
+        k = len(members)
+        return PERMS.index(tuple(rng.permutation(k).tolist())
+                           + tuple(range(k, K_MAX)))
 
     return decide
 

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import POLICY_KINDS
+from .baselines import PLATOON_POLICIES, POLICY_KINDS
 from .config import SimConfig
 from .metrics import export_metrics
 from .simulation import Simulation, shared_context
@@ -112,7 +112,7 @@ def _cmd_replay(args) -> int:
     config = _resolve(args, **extra)
     trace = args.out or "trace.jsonl"
     layer1 = layer2 = normalizer = None
-    if config.policy in ("coor-plt", "fp", "rc"):
+    if config.policy in PLATOON_POLICIES:
         if not args.checkpoint:
             raise SystemExit(f"policy {config.policy!r} replays a trained run; "
                              "pass --checkpoint <dir>")
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="train the two-layer controller")
     _add_common(p_train)
-    p_train.add_argument("--policy", choices=("coor-plt", "fp", "rc"))
+    p_train.add_argument("--policy", choices=PLATOON_POLICIES)
     p_train.add_argument("--episodes", type=int, help="training episodes (M)")
 
     p_eval = sub.add_parser("eval", help="compare policies on common seeds")

@@ -275,7 +275,6 @@ class _Group:
     order: list            # pids, highest priority first
     state: np.ndarray
     action: int
-    mask: np.ndarray
     t0: float
     role_done: dict        # pid -> time it cleared all its in-group regions
     exited: dict           # pid -> time its tail left the zone
@@ -298,7 +297,6 @@ class CoordinationTracker:
         self.params = params
         self.dt = dt
         self._groups: dict[int, _Group] = {}
-        self._last_group: dict[int, int] = {}
         self._suppressed: dict[tuple[int, int], int] = {}
         self._next_gid = 0
 
@@ -447,8 +445,6 @@ class CoordinationTracker:
                 state=group.state, action=group.action, reward=reward,
                 next_state=nxt, terminal=nxt is None,
                 next_mask=group.next_mask.get(pid)))
-            if self._last_group.get(pid) == group.gid:
-                del self._last_group[pid]
         return CoordinationRecord(group=group.gid, members=list(group.members),
                                   coordination_time=ct, travel_times=pcs,
                                   reward=reward, experiences=experiences)
@@ -606,19 +602,18 @@ class CoordinationTracker:
             raise ValueError(f"decision {action} is masked for a group of {k}")
         order = order_from_action(action, members)
 
+        for pid in members:
+            # a fresh trigger is the follow-on state of this platoon's newest
+            # coordination, which is still waiting for its last member to exit
+            prev = [group for group in self._groups.values() if pid in group.members]
+            if prev:
+                prev[-1].next_state[pid] = state
+                prev[-1].next_mask[pid] = mask
         gid = self._next_gid
         self._next_gid += 1
-        group = _Group(gid=gid, members=list(members), order=order, state=state,
-                       action=action, mask=mask, t0=t, role_done={}, exited={})
-        self._groups[gid] = group
-        for pid in members:
-            # a fresh trigger is the follow-on state of this platoon's previous
-            # coordination, which is still waiting for its last member to exit
-            prev_gid = self._last_group.get(pid)
-            if prev_gid is not None and prev_gid in self._groups and prev_gid != gid:
-                self._groups[prev_gid].next_state[pid] = state
-                self._groups[prev_gid].next_mask[pid] = mask
-            self._last_group[pid] = gid
+        self._groups[gid] = _Group(gid=gid, members=list(members), order=order,
+                                   state=state, action=action, t0=t,
+                                   role_done={}, exited={})
         return gid
 
     def _group_bars(self, by_pid: dict, bars: dict, blocking: dict):

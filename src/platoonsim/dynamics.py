@@ -221,10 +221,8 @@ class Vehicle:
     spawn_time: float
     route_pos: float             # front bumper arc along the route
     speed: float
-    accel: float = 0.0
     platoon_id: int | None = None
     wait_time: float = 0.0       # accumulated standstill time before stop line
-    speed_sum: float = 0.0
     step_count: int = 0
     fuel_total: float = 0.0
     exit_time: float | None = None
@@ -247,7 +245,6 @@ class Platoon:
     movement: str
     target_size: int
     members: list[int] = field(default_factory=list)  # vehicle ids, front first
-    released: bool = False
     arc: float = 0.0             # nominal head's front arc once released
     speed: float = 0.0
     accel: float = 0.0

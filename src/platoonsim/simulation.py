@@ -43,7 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (FIXED_PLATOON_SIZE, ReservationManager, WebsterPlan,
+from .baselines import (FIXED_PLATOON_SIZE, PLATOON_POLICIES, POLICY_KINDS,
+                        ReservationManager, WebsterPlan, agent_layers,
                         random_priority_decider)
 from .config import SimConfig
 from .coordination import CoordinationTracker, PathRaster, PlatoonView
@@ -64,8 +65,6 @@ AUDIT_GRANULARITY = 24   # safety audit always runs at the finest grid
 STANDSTILL = 0.1         # m/s; below this a vehicle accrues waiting time
 FCFS_REQUEST_RANGE = 50.0  # m before the stop line where crossing requests start
 GAP_TOLERANCE = 0.1      # m; formation gaps within d_h +- this count as formed
-
-PLATOON_POLICIES = ("coor-plt", "fp", "rc")
 
 
 class SafetyAuditError(RuntimeError):
@@ -161,7 +160,14 @@ class _Lane:
 
 
 class Simulation:
-    """One episode under one policy; see the module docstring for the loop."""
+    """One episode under one policy; see the module docstring for the loop.
+
+    It takes `layer1` (sizing) and `layer2` (priority) agents for exactly
+    the layers baselines.AGENT_LAYERS says the policy learns: coor-plt
+    both, fp layer2, rc layer1, Webster and FCFS neither.  Any other agent
+    is refused, and so is a missing one unless `calibrating`, which draws
+    the learned decisions at random and ignores the agents it is given.
+    """
 
     def __init__(self, config: SimConfig, *, policy: str | None = None,
                  seed: int | None = None, layer1=None, layer2=None,
@@ -170,15 +176,23 @@ class Simulation:
                  trace_path=None, audit_dump_dir="."):
         self.config = config
         self.policy = policy if policy is not None else config.policy
-        if self.policy not in PLATOON_POLICIES + ("webster", "fcfs-reservation"):
+        if self.policy not in POLICY_KINDS:
             raise ValueError(f"unknown policy {self.policy!r}")
+        self.learns_size, learns_priority = agent_layers(self.policy)
+        for agent, learns, layer in ((layer1, self.learns_size, "sizing"),
+                                     (layer2, learns_priority, "priority")):
+            if agent is not None and not learns:
+                raise ValueError(f"policy {self.policy!r} takes no {layer} agent")
+            if agent is None and learns and not calibrating:
+                raise ValueError(f"policy {self.policy!r} needs a {layer} agent")
         self.seed = int(seed if seed is not None else config.seed)
         self.shared = shared if shared is not None else shared_context(config)
         self.params = self.shared.params
         self.fuel = config.fuel_model()
         self.dt = config.dt
         self.L = config.L
-        self.layer1, self.layer2 = layer1, layer2
+        # calibration draws every learned decision at random
+        self.layer1, self.layer2 = (None, None) if calibrating else (layer1, layer2)
         self.normalizer = normalizer
         self.training = training
         self.calibrating = calibrating
@@ -197,19 +211,11 @@ class Simulation:
         if self.platoon_mode:
             self.tracker = CoordinationTracker(
                 self.shared.layout, self.shared.raster, self.params, config.dt)
-            if self.policy in ("coor-plt", "fp") and not calibrating \
-                    and self.layer2 is None:
-                raise ValueError(f"policy {self.policy!r} needs a priority agent")
-            if self.policy in ("coor-plt", "rc") and not calibrating \
-                    and self.layer1 is None:
-                raise ValueError(f"policy {self.policy!r} needs a sizing agent")
         elif self.policy == "webster":
             self.webster = WebsterPlan(webster_rates(config))
         else:
             self.reservation = ReservationManager(
                 self.shared.raster, self.params, config.dt)
-        # sizing windows exist wherever the sizing reward is defined
-        self.windows_enabled = self.platoon_mode and self.policy != "fp"
 
         self.lanes = {mk: _Lane(mk) for mk in self.shared.movements}
         self.vehicles: dict[int, Vehicle] = {}
@@ -219,7 +225,6 @@ class Simulation:
         self._next_vid = 0
         self._next_pid = 0
         self._plan = None
-        self._travel_times: list = []
         self._fuel_exited: list = []
         self._step_fuel: dict = {}
         self.metrics = EpisodeMetrics(seed=self.seed, policy=self.policy,
@@ -346,18 +351,18 @@ class Simulation:
             hist = self.metrics.size_histogram
             hist[size] = hist.get(size, 0) + 1
             self.metrics.layer1_actions += 1
-            if self.windows_enabled:
+            # sizing windows exist wherever the sizing reward is defined
+            if self.learns_size:
                 window = _Window(pid, mk, state, size - 1)
                 lane.last_window = window
                 self.window_of[pid] = window
 
     def _choose_size(self, state) -> int:
-        if self.policy == "fp":
+        if not self.learns_size:
             return FIXED_PLATOON_SIZE
-        if self.calibrating or (self.policy == "rc" and self.layer1 is None):
+        if self.layer1 is None:
             return int(self.policy_rng.integers(1, self.config.n_sizes() + 1))
-        action = self.layer1.act(state, greedy=not self.training)
-        return action + 1
+        return self.layer1.act(state, greedy=not self.training) + 1
 
     def _join_new_members(self, lane: _Lane) -> None:
         platoon = lane.forming
@@ -409,7 +414,6 @@ class Simulation:
                 veh = self.vehicles[vid]
                 veh.route_pos = platoon.arc - off
                 veh.speed = platoon.speed
-            platoon.released = True
             platoon.release_time = t
             lane.released = platoon
             lane.forming = None
@@ -422,9 +426,9 @@ class Simulation:
                 for mk, lane in self.lanes.items() if lane.released is not None]
 
     def _decide_priority(self, state, mask, members) -> int:
-        if self.layer2 is not None and not self.calibrating:
-            return self.layer2.act(state, mask, greedy=not self.training)
-        return self._random_priority(state, mask, members)
+        if self.layer2 is None:
+            return self._random_priority(state, mask, members)
+        return self.layer2.act(state, mask, greedy=not self.training)
 
     def _consume_records(self, plan) -> None:
         self.metrics.coordinations += len(plan.triggered)
@@ -466,7 +470,7 @@ class Simulation:
                 continue
             veh.exit_time = t
             veh.removed_by_deadlock = True
-            self._travel_times.append(veh.exit_time - veh.spawn_time)
+            self.metrics.travel_times.append(veh.exit_time - veh.spawn_time)
             self._fuel_exited.append(veh.fuel_total)
             self.metrics.exited += 1
             self.metrics.deadlock_removed += 1
@@ -573,10 +577,8 @@ class Simulation:
                 burn = self.fuel.increment(veh.speed, a, dt)
                 veh.fuel_total += burn
                 self._step_fuel[veh.vid] = burn
-                veh.accel = a
                 veh.speed = new_speed
                 veh.route_pos += dist
-                veh.speed_sum += new_speed
                 veh.step_count += 1
                 # a bumper parked exactly on the bar is still waiting to enter
                 if new_speed < STANDSTILL and veh.route_pos < self.L + ON_BAR:
@@ -661,7 +663,7 @@ class Simulation:
             for veh in lane.queue:
                 if veh.route_pos > end:
                     veh.exit_time = t_exit
-                    self._travel_times.append(t_exit - veh.spawn_time)
+                    self.metrics.travel_times.append(t_exit - veh.spawn_time)
                     self._fuel_exited.append(veh.fuel_total)
                     self.metrics.exited += 1
                 else:
@@ -813,11 +815,10 @@ class Simulation:
         m.steps = n_steps
         m.in_network = sum(len(self.lanes[mk].queue) for mk in self.shared.movements)
         m.backlog = sum(len(self.lanes[mk].backlog) for mk in self.shared.movements)
-        m.mean_travel_time = (float(np.mean(self._travel_times))
-                              if self._travel_times else 0.0)
+        m.mean_travel_time = (float(np.mean(m.travel_times))
+                              if m.travel_times else 0.0)
         m.mean_fuel = (float(np.mean(self._fuel_exited))
                        if self._fuel_exited else 0.0)
-        m.travel_times = [float(x) for x in self._travel_times]
         m.check_conservation()
 
 
@@ -841,6 +842,7 @@ def run_episode(config: SimConfig, policy: str | None = None,
     """One episode; deterministic given (config, policy, seed).
 
     Keyword arguments are forwarded to Simulation (agents, normalizer,
-    training/calibrating flags, shared context, trace path).
+    training/calibrating flags, shared context, trace path); `layer1` and
+    `layer2` are the agents baselines.AGENT_LAYERS says the policy learns.
     """
     return Simulation(config, policy=policy, seed=seed, **kwargs).run()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import PLATOON_POLICIES, agent_layers
 from .config import SimConfig
 from .drl.agent import DQNAgent
 from .drl.network import (coordination_network, formation_network,
@@ -20,7 +21,7 @@ from .drl.network import (coordination_network, formation_network,
 from .drl.replay import ReplayBuffer
 from .formation import FactorNormalizer
 from .metrics import EpisodeMetrics, export_metrics, read_csv
-from .simulation import PLATOON_POLICIES, Simulation, shared_context
+from .simulation import Simulation, shared_context
 
 CHECKPOINT_EVERY = 10
 SWEEP_GRANULARITIES = (6, 12, 24)
@@ -39,9 +40,13 @@ def episode_seeds(seed: int, n: int, stream: int) -> list:
     return [int(child.generate_state(1)[0]) for child in base.spawn(n)]
 
 
-def agent_layers(policy: str) -> tuple:
-    """(needs sizing agent, needs priority agent) for a policy kind."""
-    return policy in ("coor-plt", "rc"), policy in ("coor-plt", "fp")
+def _agent(config: SimConfig, net, rng: np.random.Generator, **kw) -> DQNAgent:
+    """A DQN agent over `net` with the config's hyperparameters; `kw`
+    overrides or adds DQNAgent arguments."""
+    kw = {"gamma": config.gamma, "epsilon": config.epsilon,
+          "batch_size": config.batch_size, "observe": config.O,
+          "sync_every": config.C, "adam_lr": config.adam_lr, **kw}
+    return DQNAgent(net, ReplayBuffer(config.replay_capacity), rng, **kw)
 
 
 def build_agents(config: SimConfig):
@@ -51,19 +56,11 @@ def build_agents(config: SimConfig):
     net1, net2, act1, act2 = [np.random.default_rng(c) for c in root.spawn(4)]
     layer1 = layer2 = None
     if need1:
-        layer1 = DQNAgent(formation_network(config.n_sizes(), net1),
-                          ReplayBuffer(config.replay_capacity), act1,
-                          gamma=config.gamma, epsilon=config.epsilon,
-                          batch_size=config.batch_size, observe=config.O,
-                          sync_every=config.C, adam_lr=config.adam_lr,
-                          train_every=config.layer1_train_every)
+        layer1 = _agent(config, formation_network(config.n_sizes(), net1), act1,
+                        train_every=config.layer1_train_every)
     if need2:
-        layer2 = DQNAgent(coordination_network(config.g, rng=net2),
-                          ReplayBuffer(config.replay_capacity), act2,
-                          gamma=config.gamma, epsilon=config.epsilon,
-                          batch_size=config.batch_size, observe=config.O,
-                          sync_every=config.C, adam_lr=config.adam_lr,
-                          train_every=config.layer2_train_every)
+        layer2 = _agent(config, coordination_network(config.g, rng=net2), act2,
+                        train_every=config.layer2_train_every)
     return layer1, layer2
 
 
@@ -82,23 +79,17 @@ def calibrate(config: SimConfig, shared=None) -> FactorNormalizer:
 
 
 def _checkpoint_names(policy: str, tag: str) -> list:
-    need1, need2 = agent_layers(policy)
-    names = []
-    if need1:
-        names.append(f"layer1_{tag}.ckpt")
-    if need2:
-        names.append(f"layer2_{tag}.ckpt")
-    return names
+    return [f"layer{n}_{tag}.ckpt"
+            for n, learns in enumerate(agent_layers(policy), start=1) if learns]
 
 
 def _save_agents(out: Path, config: SimConfig, layer1, layer2, tag: str,
                  episode: int) -> None:
     meta = {"policy": config.policy, "g": config.g, "seed": config.seed,
             "condition": config.condition, "episode": episode}
-    if layer1 is not None:
-        save_checkpoint(out / f"layer1_{tag}.ckpt", layer1.net, meta)
-    if layer2 is not None:
-        save_checkpoint(out / f"layer2_{tag}.ckpt", layer2.net, meta)
+    for name, agent in (("layer1", layer1), ("layer2", layer2)):
+        if agent is not None:
+            save_checkpoint(out / f"{name}_{tag}.ckpt", agent.net, meta)
 
 
 def _finished_run(out: Path, config: SimConfig):
@@ -176,10 +167,7 @@ def load_agents(run_dir, config: SimConfig):
                 f"no trained weights for policy {config.policy!r} at {path}; "
                 "run training first")
         net, _ = load_checkpoint(path)
-        return DQNAgent(net, ReplayBuffer(config.replay_capacity), rng,
-                        gamma=config.gamma, epsilon=0.0,
-                        batch_size=config.batch_size, observe=config.O,
-                        sync_every=config.C, adam_lr=config.adam_lr)
+        return _agent(config, net, rng, epsilon=0.0)
 
     if need1:
         layer1 = _restore("layer1_final.ckpt")

@@ -12,10 +12,9 @@ import pytest
 
 from platoonsim.baselines import (FIXED_PLATOON_SIZE, SIGNAL_PHASES,
                                   ReservationManager, WebsterPlan,
-                                  order_to_action, random_coordination,
                                   random_priority_decider)
-from platoonsim.coordination import (PERMS, PathRaster, path_cell_spans,
-                                      valid_action_mask)
+from platoonsim.coordination import (PERMS, PathRaster, order_from_action,
+                                      path_cell_spans, valid_action_mask)
 from platoonsim.dynamics import VehicleParams
 from platoonsim.geometry import Grid, default_layout
 from platoonsim.traffic import HIGH_RATES, MODERATE_RATES
@@ -46,50 +45,56 @@ def test_fixed_platooning_size_always_three():
 # -- random coordination ------------------------------------------------------------
 
 
-def test_random_coordination_single_member_identity():
-    rng = np.random.default_rng(0)
-    assert random_coordination([8], rng) == (8,)
+def random_orders(members, seed, n):
+    """n priority orders the random-coordination decider draws for members."""
+    decide = random_priority_decider(np.random.default_rng(seed))
+    mask = valid_action_mask(len(members))
+    return [tuple(order_from_action(decide(None, mask, members), members))
+            for _ in range(n)]
 
 
 def test_random_coordination_uniform_over_two_orders():
-    rng = np.random.default_rng(123)
-    counts = Counter(random_coordination([3, 7], rng) for _ in range(10_000))
+    counts = Counter(random_orders([3, 7], 123, 10_000))
     assert set(counts) == {(3, 7), (7, 3)}
     for freq in counts.values():
         assert abs(freq / 10_000 - 0.5) <= 0.02
 
 
 def test_random_coordination_uniform_over_six_orders():
-    rng = np.random.default_rng(7)
-    counts = Counter(random_coordination([1, 2, 3], rng)
-                     for _ in range(12_000))
+    counts = Counter(random_orders([1, 2, 3], 7, 12_000))
     assert len(counts) == 6
     for freq in counts.values():
         assert abs(freq / 12_000 - 1 / 6) <= 0.02
 
 
 def test_random_coordination_seeded_reproducible():
-    rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-    seq1 = [random_coordination([1, 2, 3, 4], rng1) for _ in range(50)]
-    seq2 = [random_coordination([1, 2, 3, 4], rng2) for _ in range(50)]
-    assert seq1 == seq2
+    assert (random_orders([1, 2, 3, 4], 42, 50)
+            == random_orders([1, 2, 3, 4], 42, 50))
 
 
 def test_random_coordination_returns_permutation():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        order = random_coordination([4, 9, 2, 6], rng)
+    for order in random_orders([4, 9, 2, 6], 11, 20):
         assert sorted(order) == [2, 4, 6, 9]
 
 
 def test_order_to_action_spot_values():
-    assert order_to_action([1, 2], (1, 2)) == 0
-    assert order_to_action([1, 2], (2, 1)) == 6
-    assert order_to_action([1, 2, 3], (3, 1, 2)) == 12
-    assert order_to_action([4, 5, 6, 7], (7, 6, 5, 4)) == 23
+    # the order <-> action spot values, read through the forward map
+    assert order_from_action(0, [1, 2]) == [1, 2]
+    assert order_from_action(6, [1, 2]) == [2, 1]
+    assert order_from_action(12, [1, 2, 3]) == [3, 1, 2]
+    assert order_from_action(23, [4, 5, 6, 7]) == [7, 6, 5, 4]
     assert PERMS[23] == (3, 2, 1, 0)
     with pytest.raises(ValueError):
-        order_to_action([1, 2], (1, 3))
+        order_from_action(12, [1, 2])  # perm (2, 0, 1, 3) moves slot 2
+
+
+def test_random_priority_decider_golden_actions():
+    # one permutation draw per decision: rc and every calibration episode
+    # depend on this stream
+    decide = random_priority_decider(np.random.default_rng(42))
+    actions = [decide(None, valid_action_mask(k), list(range(k)))
+               for k in (2, 3, 4) for _ in range(4)]
+    assert actions == [6, 0, 0, 0, 8, 12, 12, 2, 14, 6, 3, 6]
 
 
 def test_random_priority_decider_respects_mask():

@@ -105,6 +105,38 @@ def test_learned_policies_require_agents():
             Simulation(DESK.override(policy=policy), shared=SHARED)
 
 
+class CountingPriorityAgent:
+    """Picks the identity order; counts how often it is consulted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def act(self, state, mask, greedy=False):
+        self.calls += 1
+        return 0
+
+
+def test_policies_refuse_agents_for_layers_they_do_not_learn():
+    # random coordination draws its orders: with platoons of four, an
+    # accepted priority agent would be consulted 4 times on this seed
+    priority = CountingPriorityAgent()
+    cfg = SimConfig.desk(condition=2, policy="rc")
+    with pytest.raises(ValueError, match="takes no priority agent"):
+        Simulation(cfg, seed=2, layer1=StubSizingAgent(size=4),
+                   layer2=priority, shared=SHARED).run()
+    assert priority.calls == 0
+    with pytest.raises(ValueError, match="takes no sizing agent"):
+        Simulation(DESK.override(policy="fp"), layer1=StubSizingAgent(),
+                   layer2=priority, shared=SHARED)
+    for policy in ("webster", "fcfs-reservation"):
+        with pytest.raises(ValueError):
+            Simulation(DESK.override(policy=policy), layer1=StubSizingAgent(),
+                       shared=SHARED)
+        with pytest.raises(ValueError):
+            Simulation(DESK.override(policy=policy), layer2=priority,
+                       shared=SHARED)
+
+
 # -- scripted formation scenarios -----------------------------------------------------
 
 
@@ -117,7 +149,7 @@ def test_fixed_platoon_forms_releases_and_exits():
     pids = {v.platoon_id for v in sim.vehicles.values()}
     assert len(pids) == 1 and None not in pids
     platoon = sim.platoons[pids.pop()]
-    assert platoon.released
+    assert platoon.release_time is not None
     assert platoon.release_time > 0.0
     m.check_conservation()
 
@@ -147,7 +179,7 @@ def test_followers_converge_to_platoon_pitch():
     def watching(i):
         step(i)
         platoon = next(iter(sim.platoons.values()), None)
-        if platoon is None or not platoon.released:
+        if platoon is None or platoon.release_time is None:
             return
         # exit is per vehicle and an exited body stops moving, so the
         # rigid pitch holds among the members still in the network
@@ -301,15 +333,16 @@ class _PushList(list):
 
 
 class StubSizingAgent:
-    """Always picks size 3; counts what the engine hands it."""
+    """Always picks one size, 3 unless told; counts what the engine hands it."""
 
-    def __init__(self):
+    def __init__(self, size=3):
+        self.action = size - 1
         self.replay = _PushList()
         self.remembered = 0
         self.train_steps = 0
 
     def act(self, state, greedy=False):
-        return 2
+        return self.action
 
     def remember(self, exp):
         self.remembered += 1
