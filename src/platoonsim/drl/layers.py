@@ -1,10 +1,11 @@
 """Network layers with forward and backward passes, float64 throughout.
 
-Tensors are laid out (batch, channels, height, width).  Convolutions run as
-im2col matrix products; the input gradient is a stride-dilated full
-correlation with the spatially flipped kernels, so no scatter-add appears
-anywhere on the hot path.  Every layer caches what its backward pass needs
-during forward and exposes `params`/`grads` as parallel lists.
+Tensors are laid out (batch, channels, height, width).  Convolutions keep
+one window layout: the forward pass is an im2col matrix product, and the
+backward pass multiplies the output gradient back into that column layout
+and adds it onto the input through the same strided windows (col2im).
+Every layer caches what its backward pass needs during forward and exposes
+`params`/`grads` as parallel lists.
 """
 
 from __future__ import annotations
@@ -15,21 +16,6 @@ import numpy as np
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def _correlate(x: np.ndarray, w: np.ndarray, sh: int, sw: int):
-    """Valid cross-correlation of x (B,C,H,W) with w (F,C,kh,kw).
-
-    Returns (y, cols): y is (B,F,OH,OW) and cols the im2col matrix
-    (B*OH*OW, C*kh*kw) kept for the weight-gradient product.
-    """
-    kh, kw = w.shape[2], w.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]
-    b, c, oh, ow = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
-    y = cols @ w.reshape(w.shape[0], -1).T
-    return y.reshape(b, oh, ow, w.shape[0]).transpose(0, 3, 1, 2), cols
 
 
 class Layer:
@@ -86,30 +72,35 @@ class Conv2D(Layer):
 
     def forward(self, x):
         w, b = self.params
-        y, cols = _correlate(x, w, *self.stride)
-        self._cols = cols
+        (kh, kw), (sh, sw) = self.kernel, self.stride
+        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+        win = win[:, :, ::sh, ::sw]
+        n, _, oh, ow = win.shape[:4]
+        # im2col: one row per output position, kept for both gradients
+        self._cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
         self._x_shape = x.shape
-        return y + b[None, :, None, None]
+        y = self._cols @ w.reshape(self.filters, -1).T
+        return (y.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
+                + b[None, :, None, None])
 
     def backward(self, dy):
         w, _ = self.params
-        b_, f, oh, ow = dy.shape
-        dy_cols = dy.transpose(0, 2, 3, 1).reshape(b_ * oh * ow, f)
+        n, f, oh, ow = dy.shape
+        dy_cols = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
         self.grads[0][...] = (dy_cols.T @ self._cols).reshape(w.shape)
         self.grads[1][...] = dy.sum(axis=(0, 2, 3))
         self._cols = None
         if not self.needs_input_grad:
             return None
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        # full correlation of the stride-dilated dy with flipped kernels
-        dil = np.zeros((b_, f, (oh - 1) * sh + 1, (ow - 1) * sw + 1))
-        dil[:, :, ::sh, ::sw] = dy
-        pad = np.pad(dil, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx_core, _ = _correlate(pad, np.ascontiguousarray(w_flip), 1, 1)
+        (kh, kw), (sh, sw) = self.kernel, self.stride
+        # col2im: each kernel tap adds its column back onto the input
+        # positions that tap read in the forward windows
+        dcols = (dy_cols @ w.reshape(f, -1)).reshape(n, oh, ow, -1, kh, kw)
         dx = np.zeros(self._x_shape)
-        dx[:, :, :dx_core.shape[2], :dx_core.shape[3]] = dx_core
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += \
+                    dcols[..., i, j].transpose(0, 3, 1, 2)
         return dx
 
     def spec(self):

@@ -167,9 +167,13 @@ def load_checkpoint(path) -> tuple[Sequential, dict]:
         if header.get("format") != 1:
             raise ValueError(f"unsupported checkpoint format in {path}")
         net = network_from_spec(header["spec"])
+        raw = fh.read()
+        if len(raw) != 8 * sum(p.size for p in net.parameters()):
+            raise ValueError(f"weight bytes in {path} disagree with its header")
+        flat = np.frombuffer(raw, dtype="<f8")
         for p, shape in zip(net.parameters(), header["shapes"]):
             if list(p.shape) != shape:
                 raise ValueError("checkpoint shape mismatch")
-            raw = fh.read(p.size * 8)
-            p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
+            p[...] = flat[:p.size].reshape(p.shape)
+            flat = flat[p.size:]
     return net, header["meta"]

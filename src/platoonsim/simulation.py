@@ -141,7 +141,6 @@ class _Window:
     acc: dict = field(default_factory=dict)  # vid -> [wait, speed_sum, steps, fuel]
     next_state: object = None
     reward: float | None = None
-    emitted: bool = False
 
     def experience(self, reward: float) -> Experience:
         return Experience(state=self.state, action=self.action, reward=reward,
@@ -338,7 +337,7 @@ class Simulation:
         for mk in pending:
             lane = self.lanes[mk]
             state = self.shared.canvas.encode(snapshot, mk)
-            if lane.last_window is not None and lane.last_window.next_state is None:
+            if lane.last_window is not None:
                 lane.last_window.next_state = state
                 self._maybe_emit(lane.last_window, terminal=False)
             size = self._choose_size(state)
@@ -604,12 +603,14 @@ class Simulation:
     def _maybe_emit(self, window: _Window, terminal: bool) -> None:
         """Remember a rewarded window once its next state is known, or as a
         terminal experience at the episode cut.  A window a deadlock removed
-        never gets a reward, so it is never emitted here."""
-        if window.emitted or window.reward is None:
+        never gets a reward, so it is never emitted here.  No window passes
+        both checks twice: the lane's next decision sets its next state as
+        it replaces it, closing sets its reward as it leaves `window_of`,
+        and the cut sees only windows with no next state."""
+        if window.reward is None:
             return
         if window.next_state is None and not terminal:
             return
-        window.emitted = True
         if self.training and self.layer1 is not None:
             self.layer1.remember(window.experience(window.reward))
 

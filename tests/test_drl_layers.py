@@ -1,5 +1,7 @@
 """Layer and network tests: shape chains, loop oracles, finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,37 @@ def test_composed_network_gradients():
         assert rel_err(got, want) <= 1e-4
 
 
+_SHIPPED_NETS = {"formation": formation_network(33),
+                 **{f"coordination-g{g}": coordination_network(g)
+                    for g in (6, 12, 24)}}
+_SHIPPED_CONVS = [pytest.param(name, k, id=f"{name}-layer{k}")
+                  for name, net in _SHIPPED_NETS.items()
+                  for k, layer in enumerate(net.layers)
+                  if isinstance(layer, Conv2D)]
+
+
+@pytest.mark.parametrize("name, k", _SHIPPED_CONVS)
+def test_conv_input_gradient_is_adjoint_of_forward(name, k):
+    # <conv(x) - b, dy> == <x, conv^T(dy)> on each shipped input size
+    net = _SHIPPED_NETS[name]
+    layer = net.layers[k]
+    layer.needs_input_grad = True
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((2,) + net.shapes[k])
+    y = layer.forward(x) - layer.params[1][None, :, None, None]
+    dy = rng.standard_normal(y.shape)
+    dx = layer.backward(dy)
+    lhs, rhs = np.vdot(y, dy), np.vdot(x, dx)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    # rows and columns past the last window get exactly zero
+    (kh, kw), (sh, sw) = layer.kernel, layer.stride
+    reach_h = sh * (y.shape[2] - 1) + kh
+    reach_w = sw * (y.shape[3] - 1) + kw
+    assert not dx[:, :, reach_h:].any() and not dx[:, :, :, reach_w:].any()
+    if (name, k) == ("formation", 0):
+        assert (reach_h, reach_w) == (158, 158)
+
+
 def test_first_parameter_layer_skips_input_gradient():
     net = formation_network(33)
     assert net.layers[0].needs_input_grad is False
@@ -259,4 +292,24 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     blob = json.dumps({"format": 99}).encode()
     path.write_bytes(struct.pack("<I", len(blob)) + blob)
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, coordination_network(6), {})
+    return path
+
+
+def test_checkpoint_rejects_bytes_past_its_weights(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_weights(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-80])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
