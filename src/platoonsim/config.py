@@ -13,7 +13,6 @@ repository ships ``configs/default.cfg`` (all defaults, written out) and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from .baselines import POLICY_KINDS
@@ -44,7 +43,6 @@ class SimConfig:
     l_c: float = 5.0            # vehicle length, m
     w_c: float = 1.8            # vehicle width, m
     l_lane: float = 2.5         # lane width, m
-    S: float = 15.0             # coordination zone side, m
     L: float = 200.0            # formation zone length, m
     a_max: float = 5.0          # accel/decel limit, m/s^2
     v_max: float = 20.0         # speed limit, m/s
@@ -95,7 +93,7 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICY_KINDS}")
         if self.condition not in (1, 2, 3):
             raise ValueError(f"condition must be 1, 2 or 3, got {self.condition}")
-        for name in ("l_c", "w_c", "l_lane", "S", "L", "a_max", "v_max", "d_h",
+        for name in ("l_c", "w_c", "l_lane", "L", "a_max", "v_max", "d_h",
                      "d_h_hat", "T", "adam_lr", "T_m", "dt", "switch_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -113,12 +111,14 @@ class SimConfig:
             raise ValueError("flow_scale cannot be negative")
         if self.R_deadlock >= 0:
             raise ValueError("the deadlock punishment must be negative")
-        if abs(self.S - 6.0 * self.l_lane) > 1e-9:
-            warnings.warn(f"zone side {self.S} is not six lane widths "
-                          f"({6.0 * self.l_lane}); the twelve-lane layout "
-                          f"assumes they agree", stacklevel=2)
 
     # -- derived objects -----------------------------------------------------
+
+    @property
+    def S(self) -> float:
+        """Coordination zone side, m: the twelve-lane layout only closes
+        when it is six lane widths."""
+        return 6.0 * self.l_lane
 
     def vehicle_params(self) -> VehicleParams:
         return VehicleParams(length=self.l_c, width=self.w_c, a_max=self.a_max,

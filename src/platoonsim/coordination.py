@@ -9,6 +9,18 @@ enough that the decision can no longer wait.  A coordinated group picks one
 joint priority permutation (a 24-way action head shared across group sizes),
 holds it until everyone crossed, and scores the episode by how long the
 crossing took.
+
+Every contested pair is settled by one give-way rule: the platoon that goes
+second waits before the region it shares with the first, unless it can no
+longer stop before that region, in which case the first waits instead; if
+neither can stop, coordination came too late and the tracker raises
+SafetyFault.  A pair no group ranks goes first-committed-first.  A group
+ranks its members by its chosen order.  Its spectators, the platoons of the
+conflict set it leaves out (past the size cap, nearest to a region first,
+or because a group already ranks them against a kept member), rank below
+every member and among themselves in that order, until all members' roles
+are done.  The oldest group that ranks a pair decides it alone, so no pair
+is ever barred both ways.
 """
 
 from __future__ import annotations
@@ -276,10 +288,21 @@ class _Group:
     state: np.ndarray
     action: int
     t0: float
+    spectators: list       # left out of the conflict set, ranked after order
     role_done: dict        # pid -> time it cleared all its in-group regions
     exited: dict           # pid -> time its tail left the zone
     next_state: dict = field(default_factory=dict)  # pid -> follow-on state
     next_mask: dict = field(default_factory=dict)
+
+    def ranks(self, pa: int, pb: int) -> bool:
+        """Whether the group orders pa against pb: two members always, a
+        pair with a spectator until every member's role is done."""
+        if pa in self.members and pb in self.members:
+            return True
+        if len(self.role_done) == len(self.members):
+            return False
+        ranked = self.members + self.spectators
+        return pa in ranked and pb in ranked
 
 
 class CoordinationTracker:
@@ -296,8 +319,7 @@ class CoordinationTracker:
         self.raster = raster   # immutable; episodes share it
         self.params = params
         self.dt = dt
-        self._groups: dict[int, _Group] = {}
-        self._suppressed: dict[tuple[int, int], int] = {}
+        self._groups: dict[int, _Group] = {}   # gid order: oldest first
         self._next_gid = 0
 
     # -- small per-platoon helpers -----------------------------------------
@@ -380,7 +402,7 @@ class CoordinationTracker:
             for pb in pids[i + 1:]:
                 self._classify_pair(by_pid[pa], by_pid[pb], bars, blocking, edges)
 
-        triggered = self._form_groups(by_pid, edges, bars, blocking, t, decide_fn)
+        triggered = self._form_groups(by_pid, edges, t, decide_fn)
         self._group_bars(by_pid, bars, blocking)
         self._check_safety(by_pid, bars, t)
 
@@ -416,8 +438,6 @@ class CoordinationTracker:
             if len(group.exited) == len(group.members):
                 completed.append(self._finish_group(group, t))
                 del self._groups[gid]
-                self._suppressed = {pair: g for pair, g in self._suppressed.items()
-                                    if g != gid}
         return completed
 
     def _role_complete(self, group: _Group, pid: int, by_pid: dict) -> bool:
@@ -440,74 +460,61 @@ class CoordinationTracker:
         reward = coordination_reward(ct, pcs)
         experiences = []
         for pid in group.members:
-            nxt = group.next_state.get(pid)
             experiences.append(Experience(
                 state=group.state, action=group.action, reward=reward,
-                next_state=nxt, terminal=nxt is None,
+                next_state=group.next_state.get(pid),
                 next_mask=group.next_mask.get(pid)))
         return CoordinationRecord(group=group.gid, members=list(group.members),
                                   coordination_time=ct, travel_times=pcs,
                                   reward=reward, experiences=experiences)
 
+    def _contested(self, va: PlatoonView, vb: PlatoonView) -> bool:
+        """The two share a region and neither has passed it yet."""
+        ra = self._region(va, vb)
+        return (ra is not None and not self._passed(va, ra)
+                and not self._passed(vb, self._region(vb, va)))
+
+    def _ranking_group(self, pa: int, pb: int):
+        """The oldest group that ranks the pair; it alone orders the two."""
+        return next((group for group in self._groups.values()
+                     if group.ranks(pa, pb)), None)
+
     def _classify_pair(self, va: PlatoonView, vb: PlatoonView,
                        bars: dict, blocking: dict, edges: list):
-        ra = self._region(va, vb)
-        if ra is None:
-            return
-        rb = self._region(vb, va)
-        if self._passed(va, ra) or self._passed(vb, rb):
-            return
-        if self._cogrouped(va.pid, vb.pid):
-            return  # ranked; handled by _group_bars
-        if self._suppression_bar(va, vb, bars, blocking):
-            return
-
-        a_holds = self._committed(va, ra)
-        b_holds = self._committed(vb, rb)
-        if a_holds and not b_holds:
-            self._bar_before(vb, rb, bars)
-            blocking[vb.pid].add(va.pid)
-            return
-        if b_holds and not a_holds:
-            self._bar_before(va, ra, bars)
-            blocking[va.pid].add(vb.pid)
-            return
-        if a_holds and b_holds:
-            raise SafetyFault(
-                f"platoons {va.pid} and {vb.pid} both hold region "
-                f"{sorted(ra.cells)[:4]}...; coordination was decided too late")
-
-        if self._in_envelope(va, ra) and self._in_envelope(vb, rb):
+        if (not self._contested(va, vb)
+                or self._ranking_group(va.pid, vb.pid) is not None):
+            return  # free, or ranked and ordered by _group_bars
+        ra, rb = self._region(va, vb), self._region(vb, va)
+        if self._committed(va, ra):
+            self._give_way(va, vb, bars, blocking)
+        elif self._committed(vb, rb):
+            self._give_way(vb, va, bars, blocking)
+        elif self._in_envelope(va, ra) and self._in_envelope(vb, rb):
             edges.append((va.pid, vb.pid))
 
-    def _cogrouped(self, pa: int, pb: int) -> bool:
-        return any(pa in g.members and pb in g.members
-                   for g in self._groups.values())
+    def _give_way(self, first: PlatoonView, second: PlatoonView,
+                  bars: dict, blocking: dict):
+        """`second` waits before the region it shares with `first`.
 
-    def _suppression_bar(self, va: PlatoonView, vb: PlatoonView,
-                         bars: dict, blocking: dict) -> bool:
-        """Spectators squeezed out of a crowded conflict set keep waiting
-        until that set has crossed; without this they would edge with its
-        members one step later and defeat the group-size cap."""
-        for spect, member in ((va, vb), (vb, va)):
-            gid = self._suppressed.get((spect.pid, member.pid))
-            if gid is None:
-                continue
-            group = self._groups.get(gid)
-            if group is None or len(group.role_done) == len(group.members):
-                continue
-            self._bar_before(spect, self._region(spect, member), bars)
-            blocking[spect.pid].add(member.pid)
-            return True
-        return False
+        Physics outranks any chosen order: if `second` can no longer stop
+        before that region, `first` waits instead, and if neither can, the
+        decision came too late.
+        """
+        waiter, holder = second, first
+        if self._committed(second, self._region(second, first)):
+            if self._committed(first, self._region(first, second)):
+                cells = sorted(self._region(first, second).cells)[:4]
+                raise SafetyFault(
+                    f"platoons {first.pid} and {second.pid} both hold region "
+                    f"{cells}...; coordination was decided too late")
+            waiter, holder = first, second
+        bar = self._region(waiter, holder).enter - BAR_MARGIN
+        if bars[waiter.pid] is None or bar < bars[waiter.pid]:
+            bars[waiter.pid] = bar
+        blocking[waiter.pid].add(holder.pid)
 
-    def _bar_before(self, view: PlatoonView, region: SharedRegion, bars: dict):
-        bar = region.enter - BAR_MARGIN
-        if bars[view.pid] is None or bar < bars[view.pid]:
-            bars[view.pid] = bar
-
-    def _form_groups(self, by_pid: dict, edges: list, bars: dict,
-                     blocking: dict, t: float, decide_fn) -> list:
+    def _form_groups(self, by_pid: dict, edges: list, t: float,
+                     decide_fn) -> list:
         if not edges:
             return []
         adjacency: dict[int, set] = {}
@@ -529,14 +536,10 @@ class CoordinationTracker:
                 stack.extend(adjacency[node] - seen)
             group_pids, spectators = self._cap_component(component, by_pid)
             group_pids, dropped = self._drop_cogrouped(group_pids)
-            spectators = spectators + dropped
             if len(group_pids) < 2:
                 continue
-            gid = self._open_group(group_pids, by_pid, t, decide_fn)
-            for pid in spectators:
-                # left out of a crowded conflict set: wait like a blocked platoon
-                self._spectator_bar(pid, gid, group_pids, by_pid, bars, blocking)
-            triggered.append(gid)
+            triggered.append(self._open_group(group_pids, spectators + dropped,
+                                              by_pid, t, decide_fn))
         return triggered
 
     def _drop_cogrouped(self, group_pids: list):
@@ -545,7 +548,8 @@ class CoordinationTracker:
         dropped = []
         kept: list[int] = []
         for pid in group_pids:
-            if any(self._cogrouped(pid, other) for other in kept):
+            if any(self._ranking_group(pid, other) is not None
+                   for other in kept):
                 dropped.append(pid)
             else:
                 kept.append(pid)
@@ -566,25 +570,10 @@ class CoordinationTracker:
             return min(gaps)
         ranked = sorted(component, key=lambda p: (nearest_gap(p), by_pid[p].movement))
         chosen = ranked[:K_MAX]
-        return (sorted(chosen, key=lambda p: by_pid[p].movement),
-                [p for p in component if p not in chosen])
+        return sorted(chosen, key=lambda p: by_pid[p].movement), ranked[K_MAX:]
 
-    def _spectator_bar(self, pid: int, gid: int, group_pids: list, by_pid: dict,
-                       bars: dict, blocking: dict):
-        view = by_pid[pid]
-        for other in group_pids:
-            region = self._region(view, by_pid[other])
-            if region is None or self._passed(view, region):
-                continue
-            if self._committed(view, region):
-                # cannot stop before this region any more; the pair stays under
-                # normal classification, which makes the group member defer
-                continue
-            self._bar_before(view, region, bars)
-            blocking[pid].add(other)
-            self._suppressed[(pid, other)] = gid
-
-    def _open_group(self, members: list, by_pid: dict, t: float, decide_fn) -> int:
+    def _open_group(self, members: list, spectators: list, by_pid: dict,
+                    t: float, decide_fn) -> int:
         k = len(members)
         group_infos = []
         for pid in members:
@@ -613,42 +602,22 @@ class CoordinationTracker:
         self._next_gid += 1
         self._groups[gid] = _Group(gid=gid, members=list(members), order=order,
                                    state=state, action=action, t0=t,
-                                   role_done={}, exited={})
+                                   spectators=spectators, role_done={},
+                                   exited={})
         return gid
 
     def _group_bars(self, by_pid: dict, bars: dict, blocking: dict):
-        for gid, group in self._groups.items():
-            order = group.order
-            for rank, pid in enumerate(order):
+        for group in self._groups.values():
+            ranked = group.order + group.spectators
+            for rank, pid in enumerate(ranked):
                 view = by_pid.get(pid)
                 if view is None or pid in group.role_done:
                     continue
-                for higher in order[:rank]:
+                for higher in ranked[:rank]:
                     other = by_pid.get(higher)
-                    if other is None:
-                        continue
-                    region = self._region(view, other)
-                    if region is None:
-                        continue
-                    rival_region = self._region(other, view)
-                    if (self._passed(view, region)
-                            or self._passed(other, rival_region)):
-                        continue
-                    if self._committed(view, region):
-                        # the ranked-below platoon can no longer stop before
-                        # this region (the pair never edged, so the decision
-                        # did not vet it); physics outranks the chosen order
-                        # and the higher-ranked platoon waits instead
-                        if self._committed(other, rival_region):
-                            raise SafetyFault(
-                                f"platoons {view.pid} and {other.pid} are both "
-                                "committed to a shared region; coordination "
-                                "was decided too late")
-                        self._bar_before(other, rival_region, bars)
-                        blocking[other.pid].add(view.pid)
-                    else:
-                        self._bar_before(view, region, bars)
-                        blocking[view.pid].add(higher)
+                    if (other is not None and self._contested(other, view)
+                            and self._ranking_group(higher, pid) is group):
+                        self._give_way(other, view, bars, blocking)
 
     def _check_safety(self, by_pid: dict, bars: dict, t: float):
         for pid, bar in bars.items():

@@ -1,16 +1,18 @@
-"""Wait-for-graph deadlock detection and punishment.
+"""Deadlock detection and punishment.
 
 Inside the coordination zone a platoon can end up stopped because the
 cells it needs next are held by another platoon, which is itself stopped
 for the same reason.  Writing "u waits on v" as a directed edge, a
 deadlock is exactly a cycle: nobody on it can move until someone else
-does.  Detection enumerates every elementary cycle with one min-rooted
-depth-first walk over the whole graph; the zone holds at most one platoon
-per movement, so the graph has at most twelve nodes and needs no pruning
-beyond the walk's own.  Every cycle is one deadlock event: each platoon
-on it has the platoon-size decision that created it re-emitted with the
-deadlock punishment, the sizing agent takes one immediate gradient step
-per punished experience, and the platoon is removed from the zone.
+does.  The blocking map of the zone plan, restricted to stopped platoons,
+is that wait-for relation as it stands.  Detection enumerates every
+elementary cycle with one min-rooted depth-first walk over it; the zone
+holds at most one platoon per movement, so the walk sees at most twelve
+platoons and needs no pruning beyond its own.  Every cycle is one
+deadlock event: each platoon on it has the platoon-size decision that
+created it re-emitted with the deadlock punishment, the sizing agent
+takes one immediate gradient step per punished experience, and the
+platoon is removed from the zone.
 
 Cycle enumeration is written directly on dict adjacency rather than on a
 graph library: the detector runs on every step with a stopped, blocked
@@ -24,18 +26,6 @@ from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
-class WaitForGraph:
-    """Directed wait-for relation among in-zone platoons.
-
-    `succ[u]` holds every v such that u is stopped or braking because v
-    occupies or holds priority over cells u needs.  No self-edges.
-    """
-
-    nodes: tuple
-    succ: dict
-
-
-@dataclass(frozen=True)
 class DeadlockEvent:
     """One resolved cycle: who was on it, who was punished, who removed."""
 
@@ -44,40 +34,24 @@ class DeadlockEvent:
     removed: tuple
 
 
-def build_wait_graph(blocking: dict) -> WaitForGraph:
-    """Normalize a per-step blocking relation into a WaitForGraph.
+def detect_deadlocks(blocking: dict) -> list:
+    """Every elementary cycle of a wait-for map.
 
-    `blocking` maps each in-zone platoon id to the set of platoon ids it
-    is currently held behind (the zone plan's blocking output).  Targets
-    missing from the keys are kept as sink nodes; self-references are
-    dropped.
-    """
-    nodes = set(blocking)
-    for waits_on in blocking.values():
-        nodes.update(waits_on)
-    order = tuple(sorted(nodes))
-    succ = {u: tuple(sorted(v for v in blocking.get(u, ()) if v != u))
-            for u in order}
-    return WaitForGraph(nodes=order, succ=succ)
+    `blocking` maps each platoon id to the ids it waits on.  Ids that are
+    not keys wait on nobody, so they end every path.  Returns cycles as id
+    tuples rotated to start at their smallest id, sorted by length then
+    lexicographically; empty exactly when the map is acyclic.  A
+    self-reference counts as a length-1 cycle so the detector stays sound
+    on any map, though the tracker never emits one.
 
-
-def detect_deadlocks(graph: WaitForGraph) -> list:
-    """Every elementary cycle of the wait-for graph.
-
-    Returns cycles as vertex tuples rotated to start at their smallest
-    vertex, sorted by length then lexicographically.  Empty exactly when
-    the graph is acyclic.  A self-loop counts as a length-1 cycle so the
-    detector stays sound on arbitrary digraphs, though build_wait_graph
-    never produces one.
-
-    The search rooted at s only walks vertices ordered after s, so each
-    cycle is found from its minimum vertex and nowhere else (Tiernan's
+    The search rooted at s only walks ids ordered after s, so each cycle
+    is found from its minimum id and nowhere else (Tiernan's
     elementary-circuit search).
     """
-    rank = {v: i for i, v in enumerate(sorted(graph.nodes))}
+    rank = {v: i for i, v in enumerate(sorted(blocking))}
     cycles = []
     for start in rank:
-        _close_cycles(graph.succ, rank, [start], {start}, cycles)
+        _close_cycles(blocking, rank, [start], {start}, cycles)
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -91,7 +65,7 @@ def _close_cycles(succ, rank, path, on_path, cycles) -> None:
     every detector call.
     """
     start = path[0]
-    for w in succ.get(path[-1], ()):
+    for w in succ[path[-1]]:
         if w == start:
             cycles.append(tuple(path))
         elif rank.get(w, -1) > rank[start] and w not in on_path:
@@ -117,7 +91,7 @@ def punish_and_clear(cycles, origins: dict, agent, remove_fn,
 
     Returns one DeadlockEvent per cycle; the episode deadlock counter is
     the number of events.  Removing every on-cycle platoon leaves the
-    rebuilt wait-for graph acyclic, so a persisting configuration is
+    remaining wait-for map acyclic, so a persisting configuration is
     counted once, not once per timestep.
     """
     events = []

@@ -57,8 +57,12 @@ class Experience:
     action: int
     reward: float
     next_state: object = None
-    terminal: bool = True
     next_mask: object = None
+
+    @property
+    def terminal(self) -> bool:
+        """No successor state: the TD target is the reward alone."""
+        return self.next_state is None
 
 
 def td_targets(batch: list[Experience], target_net: Sequential,

@@ -50,7 +50,7 @@ from .config import SimConfig
 from .coordination import CoordinationTracker, PathRaster, PlatoonView
 # perfbench/instrument.py wraps path_cell_spans under this module's name
 from .coordination import path_cell_spans  # noqa: F401
-from .deadlock import build_wait_graph, detect_deadlocks, punish_and_clear
+from .deadlock import detect_deadlocks, punish_and_clear
 from .drl.agent import Experience
 from .dynamics import (ON_BAR, Platoon, Vehicle, follow_gap_accel,
                        formation_accel, free_accel, min_gap_in_step,
@@ -101,7 +101,7 @@ _SHARED_CACHE: dict = {}
 
 
 def shared_context(config: SimConfig) -> SharedContext:
-    key = (config.g, config.l_c, config.w_c, config.l_lane, config.S, config.L,
+    key = (config.g, config.l_c, config.w_c, config.l_lane, config.L,
            config.a_max, config.v_max, config.d_h, config.d_h_hat, config.T_m)
     hit = _SHARED_CACHE.get(key)
     if hit is not None:
@@ -144,8 +144,7 @@ class _Window:
 
     def experience(self, reward: float) -> Experience:
         return Experience(state=self.state, action=self.action, reward=reward,
-                          next_state=self.next_state,
-                          terminal=self.next_state is None)
+                          next_state=self.next_state)
 
 
 @dataclass
@@ -444,7 +443,7 @@ class Simulation:
                       if blockers and self.platoons[pid].speed < STANDSTILL}
         if not stationary:
             return
-        cycles = detect_deadlocks(build_wait_graph(stationary))
+        cycles = detect_deadlocks(stationary)
         if not cycles:
             return
         punishment = self.config.R_deadlock

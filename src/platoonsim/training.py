@@ -160,24 +160,32 @@ def load_agents(run_dir, config: SimConfig):
     layer1 = layer2 = normalizer = None
     rng = np.random.default_rng(0)  # greedy evaluation never consults it
 
-    def _restore(name):
+    def _restore(name, expected):
         path = run_dir / name
         if not path.exists():
             raise FileNotFoundError(
                 f"no trained weights for policy {config.policy!r} at {path}; "
                 "run training first")
         net, _ = load_checkpoint(path)
+        # zero padding lets a net read a state of another granularity, so a
+        # mismatched checkpoint would evaluate silently
+        if net.spec() != expected.spec():
+            raise ValueError(f"{path} holds a network that this config "
+                             f"(g={config.g}, {config.n_sizes()} platoon "
+                             "sizes) does not build")
         return _agent(config, net, rng, epsilon=0.0)
 
     if need1:
-        layer1 = _restore("layer1_final.ckpt")
+        layer1 = _restore("layer1_final.ckpt",
+                          formation_network(config.n_sizes()))
         norm_path = run_dir / "normalizer.json"
         if not norm_path.exists():
             raise FileNotFoundError(f"missing factor normalizer at {norm_path}")
         normalizer = FactorNormalizer.from_dict(
             json.loads(norm_path.read_text(encoding="utf-8")))
     if need2:
-        layer2 = _restore("layer2_final.ckpt")
+        layer2 = _restore("layer2_final.ckpt",
+                          coordination_network(config.g))
     return layer1, layer2, normalizer
 
 

@@ -673,7 +673,7 @@ def train_loop(env, agent: DQNAgent, episodes: int,
             nxt, reward, terminal, nxt_mask = env.step(action)
             total += reward
             agent.remember(Experience(state, action, reward,
-                                      None if terminal else nxt, terminal,
+                                      None if terminal else nxt,
                                       None if terminal else nxt_mask))
             if terminal:
                 break

@@ -2,7 +2,6 @@
 
 import ast
 import dataclasses
-import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ from platoonsim.config import (DESK_OVERRIDES, GRANULARITIES, SimConfig,
 
 # every default the experiment tables pin, by field name
 PINNED_DEFAULTS = {
-    "l_c": 5.0, "w_c": 1.8, "l_lane": 2.5, "S": 15.0, "L": 200.0,
+    "l_c": 5.0, "w_c": 1.8, "l_lane": 2.5, "L": 200.0,
     "a_max": 5.0, "v_max": 20.0, "d_h": 1.0, "d_h_hat": 1.5,
     "T": 3600.0, "M": 100, "gamma": 0.9, "epsilon": 0.1,
     "replay_capacity": 1000, "batch_size": 32, "O": 100, "C": 200,
@@ -61,17 +60,6 @@ def test_granularity_values():
 def test_validation_rejects(field, bad):
     with pytest.raises(ValueError):
         SimConfig(**{field: bad})
-
-
-def test_inconsistent_zone_width_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SimConfig(S=16.0)
-    assert any("zone side" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SimConfig()  # 15.0 == 6 * 2.5, silent
-    assert not caught
 
 
 def test_desk_preset_overrides():

@@ -484,6 +484,28 @@ def test_crowd_caps_at_four_with_spectator_suppression():
     assert rec.reward == -10.5
 
 
+def test_spectators_wait_for_the_group_and_for_each_other():
+    # both platoons left out of the crowded set are ordered as well, nearest
+    # to its region first, so neither runs into the other once the set clears
+    sim = Scenario()
+    for pid, mov in enumerate(["east-south", "north-east", "south-west",
+                               "west-north", "south-north", "east-west"],
+                              start=1):
+        sim.add(pid, mov, -20.0, 10.0)
+    # rotate the set of four; the left-out pair later takes its first order
+    sim.run(60, pick=lambda s, m, mem: (9 if m.all()
+                                        else int(np.flatnonzero(m)[0])))
+
+    assert sim.decisions[0]["members"] == [1, 2, 3, 4]
+    plan0 = sim.plans[0][1]
+    assert plan0.blocking[6] == {2, 4}
+    assert plan0.blocking[5] == {1, 2, 6}
+    for t, plan in sim.plans:
+        assert not any(a in plan.blocking[b]
+                       for a, waits in plan.blocking.items() for b in waits), t
+    assert not sim.platoons
+
+
 def test_one_platoon_per_movement_enforced():
     tracker = make_tracker()
     views = [PlatoonView(1, "south-north", -20.0, 10.0, 1),

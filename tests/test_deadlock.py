@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from platoonsim.config import SimConfig
-from platoonsim.deadlock import (DeadlockEvent, WaitForGraph,
-                                 build_wait_graph, detect_deadlocks,
+from platoonsim.deadlock import (DeadlockEvent, detect_deadlocks,
                                  punish_and_clear)
 from platoonsim.drl.agent import DQNAgent, Experience
 from platoonsim.drl.layers import Dense, Flatten, ReLU
@@ -42,71 +41,51 @@ def brute_cycles(nodes, edges):
 
 
 def graph_from_edges(n, edges):
-    succ = {u: tuple(sorted(v for (s, v) in edges if s == u))
-            for u in range(n)}
-    return WaitForGraph(nodes=tuple(range(n)), succ=succ)
-
-
-# -- graph construction -----------------------------------------------------------
-
-
-def test_empty_zone_empty_graph():
-    g = build_wait_graph({})
-    assert g.nodes == ()
-    assert detect_deadlocks(g) == []
-
-
-def test_build_normalizes_and_drops_self_edges():
-    g = build_wait_graph({3: {1, 3}, 1: set()})
-    assert g.nodes == (1, 3)
-    assert g.succ == {1: (), 3: (1,)}
-
-
-def test_build_keeps_unkeyed_targets_as_sinks():
-    g = build_wait_graph({1: {2, 7}})
-    assert g.nodes == (1, 2, 7)
-    assert g.succ[2] == ()
-    assert g.succ[7] == ()
-
-
-def test_waiting_behind_is_single_edge_acyclic():
-    g = build_wait_graph({2: {1}, 1: set()})
-    assert g.succ == {1: (), 2: (1,)}
-    assert detect_deadlocks(g) == []
+    return {u: {v for (s, v) in edges if s == u} for u in range(n)}
 
 
 # -- detection ---------------------------------------------------------------------
 
 
+def test_empty_zone_empty_graph():
+    assert detect_deadlocks({}) == []
+
+
+def test_unkeyed_targets_end_every_path():
+    # an id that is not a key waits on nobody, so no cycle runs through it
+    assert detect_deadlocks({1: {2, 7}}) == []
+    assert detect_deadlocks({1: {2, 7}, 2: {1, 7}}) == [(1, 2)]
+    assert detect_deadlocks({1: {0}, 2: {1, 0}, 3: {2, 1}}) == []
+
+
+def test_waiting_behind_is_single_edge_acyclic():
+    assert detect_deadlocks({2: {1}, 1: set()}) == []
+
+
 def test_three_mutually_blocking_platoons_one_triangle():
-    g = build_wait_graph({1: {2}, 2: {3}, 3: {1}})
-    assert detect_deadlocks(g) == [(1, 2, 3)]
+    assert detect_deadlocks({1: {2}, 2: {3}, 3: {1}}) == [(1, 2, 3)]
 
 
 def test_four_cycle():
-    g = build_wait_graph({1: {2}, 2: {3}, 3: {4}, 4: {1}})
-    assert detect_deadlocks(g) == [(1, 2, 3, 4)]
+    assert detect_deadlocks({1: {2}, 2: {3}, 3: {4}, 4: {1}}) == [(1, 2, 3, 4)]
 
 
 def test_dag_has_no_cycles():
-    g = build_wait_graph({1: {2, 3}, 2: {3}, 3: set()})
-    assert detect_deadlocks(g) == []
+    assert detect_deadlocks({1: {2, 3}, 2: {3}, 3: set()}) == []
 
 
 def test_two_cycles_sharing_a_node():
-    g = build_wait_graph({1: {2}, 2: {3}, 3: {1, 4}, 4: {5}, 5: {3}})
-    assert detect_deadlocks(g) == [(1, 2, 3), (3, 4, 5)]
+    blocking = {1: {2}, 2: {3}, 3: {1, 4}, 4: {5}, 5: {3}}
+    assert detect_deadlocks(blocking) == [(1, 2, 3), (3, 4, 5)]
 
 
 def test_two_cycle_reported_once_min_rooted():
-    g = build_wait_graph({2: {1}, 1: {2}})
-    assert detect_deadlocks(g) == [(1, 2)]
+    assert detect_deadlocks({2: {1}, 1: {2}}) == [(1, 2)]
 
 
 def test_self_loop_is_a_unit_cycle_on_raw_graphs():
-    # build_wait_graph never emits one; the detector still handles it
-    g = WaitForGraph(nodes=(0, 1), succ={0: (0,), 1: ()})
-    assert detect_deadlocks(g) == [(0,)]
+    # the tracker never emits one; the detector still handles it
+    assert detect_deadlocks({0: {0}, 1: set()}) == [(0,)]
 
 
 def test_exhaustive_small_digraphs_match_oracle():
@@ -156,11 +135,11 @@ def test_clearing_all_cycle_nodes_leaves_graph_acyclic():
         blocking = {u: {v for v in range(n)
                         if v != u and rng.random() < 0.35}
                     for u in range(n)}
-        cycles = detect_deadlocks(build_wait_graph(blocking))
+        cycles = detect_deadlocks(blocking)
         removed = {pid for cyc in cycles for pid in cyc}
         survivors = {u: waits - removed
                      for u, waits in blocking.items() if u not in removed}
-        assert detect_deadlocks(build_wait_graph(survivors)) == []
+        assert detect_deadlocks(survivors) == []
 
 
 # -- punishment ---------------------------------------------------------------------
@@ -239,13 +218,13 @@ def test_no_cycles_is_a_noop():
 
 def test_wedge_resolution_is_idempotent():
     # a persisting configuration is one event, not one per timestep: after
-    # clearing, the rebuilt graph on the surviving platoons is acyclic and
-    # a rescan detects nothing
+    # clearing, the map of the surviving platoons is acyclic and a rescan
+    # detects nothing
     blocking = {1: {2}, 2: {3}, 3: {1}, 4: {1}, 5: {4}}
-    cycles = detect_deadlocks(build_wait_graph(blocking))
+    cycles = detect_deadlocks(blocking)
     assert cycles == [(1, 2, 3)]
     gone = []
     punish_and_clear(cycles, {}, None, gone.append, R_DEADLOCK)
     survivors = {u: w - set(gone)
                  for u, w in blocking.items() if u not in gone}
-    assert detect_deadlocks(build_wait_graph(survivors)) == []
+    assert detect_deadlocks(survivors) == []

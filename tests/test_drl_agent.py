@@ -101,25 +101,25 @@ def _const_net(biases):
 
 def test_td_target_terminal_is_reward():
     net = _const_net([2.0, 1.0, 0.0])
-    batch = [Experience(np.zeros(1), 0, -15.0, None, True)]
+    batch = [Experience(np.zeros(1), 0, -15.0, None)]
     assert td_targets(batch, net, 0.9).tolist() == [-15.0]
 
 
 def test_td_target_zero_discount():
     net = _const_net([2.0, 1.0, 0.0])
-    batch = [Experience(np.zeros(1), 0, 3.0, np.zeros(1), False)]
+    batch = [Experience(np.zeros(1), 0, 3.0, np.zeros(1))]
     assert td_targets(batch, net, 0.0).tolist() == [3.0]
 
 
 def test_td_target_bootstrap():
     net = _const_net([2.0, 1.0, 0.0])
-    batch = [Experience(np.zeros(1), 0, 1.0, np.zeros(1), False)]
+    batch = [Experience(np.zeros(1), 0, 1.0, np.zeros(1))]
     assert td_targets(batch, net, 0.9)[0] == pytest.approx(2.8)
 
 
 def test_td_target_respects_next_mask():
     net = _const_net([2.0, 1.0, 0.0])
-    batch = [Experience(np.zeros(1), 0, 1.0, np.zeros(1), False,
+    batch = [Experience(np.zeros(1), 0, 1.0, np.zeros(1),
                         [False, True, True])]
     assert td_targets(batch, net, 0.9)[0] == pytest.approx(1.9)
 
@@ -183,7 +183,7 @@ def _random_experience(rng):
     s[rng.integers(5)] = 1.0
     s2 = np.zeros(5)
     s2[rng.integers(5)] = 1.0
-    return Experience(s, int(rng.integers(2)), float(rng.normal()), s2, False)
+    return Experience(s, int(rng.integers(2)), float(rng.normal()), s2)
 
 
 def test_observe_phase_freezes_weights():
@@ -228,7 +228,7 @@ def test_train_every_thins_gradient_steps():
 def test_divergence_guard_raises():
     agent = _agent(observe=0, loss_limit=1e-12)
     with pytest.raises(RuntimeError, match="diverged"):
-        agent.remember(Experience(np.ones(5), 0, 50.0, None, True))
+        agent.remember(Experience(np.ones(5), 0, 50.0, None))
 
 
 def test_network_copy_is_deep():

@@ -14,6 +14,7 @@ import pytest
 
 from platoonsim.baselines import WebsterPlan
 from platoonsim.config import SimConfig
+from platoonsim.coordination import CoordinationTracker
 from platoonsim.dynamics import msd
 from platoonsim.formation import (FactorNormalizer, delay_factor,
                                   formation_reward, penalized_wait)
@@ -84,7 +85,7 @@ def test_every_policy_completes_cleanly(policy):
 def test_rasters_span_the_layouts_zone():
     # on a wider junction the grids cover its whole zone, so every straight
     # body is tracked until its tail clears the far edge
-    cfg = DESK.override(l_lane=3.0, S=18.0)
+    cfg = DESK.override(l_lane=3.0)
     ctx = shared_context(cfg)
     for raster in (ctx.raster, ctx.audit):
         assert raster.grid.zone_side == ctx.layout.zone_side
@@ -370,6 +371,33 @@ def test_deadlock_punishes_sizing_experiences_through_the_engine():
     assert agent.train_steps == 3
     assert agent.remembered == 0
     assert m.layer1_reward == 3 * cfg.R_deadlock
+    m.check_conservation()
+
+
+def test_paper_flow_plans_never_bar_a_pair_both_ways(monkeypatch):
+    # at paper flow fp forms groups of three and four, whose left-out
+    # platoons another group may already rank; each pair still waits one way
+    step = CoordinationTracker.step
+    mutual = []
+
+    def checked(self, views, t, decide_fn):
+        plan = step(self, views, t, decide_fn)
+        mutual.extend((t, a, b) for a, waits in plan.blocking.items()
+                      for b in waits if a < b and a in plan.blocking[b])
+        return plan
+
+    monkeypatch.setattr(CoordinationTracker, "step", checked)
+    Simulation(SimConfig.desk(condition=2, flow_scale=1.0), policy="fp",
+               seed=3, calibrating=True, normalizer=FactorNormalizer()).run()
+    assert mutual == []
+
+
+def test_paper_flow_orders_the_platoons_a_crowded_set_leaves_out():
+    # at step 406 a five-platoon conflict set leaves out 103 and 102, which
+    # contest one region; left unordered, both were committed to it a step
+    # later and the tracker raised SafetyFault
+    m = Simulation(SimConfig.desk(condition=2, flow_scale=1.0), policy="rc",
+                   seed=1, calibrating=True, normalizer=FactorNormalizer()).run()
     m.check_conservation()
 
 

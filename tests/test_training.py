@@ -12,6 +12,7 @@ import pytest
 from platoonsim import training
 from platoonsim.baselines import PLATOON_POLICIES, POLICY_KINDS, agent_layers
 from platoonsim.config import SimConfig
+from platoonsim.drl.network import coordination_network, save_checkpoint
 
 from oracles import csv_equal
 
@@ -91,3 +92,12 @@ def test_evaluate_compares_every_policy_from_checkpoints(trained):
     rows = training.comparison_table(results)
     assert [row["policy"] for row in rows] == list(POLICY_KINDS)
     assert all(row["episodes"] == 1 for row in rows)
+
+
+def test_load_agents_rejects_a_checkpoint_of_another_granularity(tmp_path):
+    # the g=12 net pads a 6x6 state up without complaint, so only the
+    # spec comparison stops a g=6 run from being evaluated as g=12
+    path = tmp_path / "layer2_final.ckpt"
+    save_checkpoint(path, coordination_network(6))
+    with pytest.raises(ValueError, match="layer2_final.ckpt"):
+        training.load_agents(tmp_path, SimConfig.desk(policy="fp", g=12))
