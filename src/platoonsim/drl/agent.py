@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +51,18 @@ def select_action(qvalues: np.ndarray, mask: np.ndarray | None,
 @dataclass
 class Experience:
     """One transition; next_mask limits the bootstrap max for states whose
-    valid-action set is narrower than the network head."""
+    valid-action set is narrower than the network head.
+
+    `target_max` caches (target version, masked max target Q at
+    next_state); it is not part of the transition's value.
+    """
 
     state: object
     action: int
     reward: float
     next_state: object = None
     next_mask: object = None
+    target_max: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -66,20 +71,37 @@ class Experience:
 
 
 def td_targets(batch: list[Experience], target_net: Sequential,
-               gamma: float) -> np.ndarray:
+               gamma: float, version: object = None) -> np.ndarray:
     """y_j = r_j for terminal transitions, else r_j + gamma * max over the
-    valid actions of the target network at the successor state."""
+    valid actions of the target network at the successor state.
+
+    `version` names the target network's current weights.  When it is
+    given, an experience whose cached max carries the same version reuses
+    it, and every max computed here is cached under it; the target network
+    reads only the successor states it has not yet seen at this version.
+    """
     y = np.array([e.reward for e in batch], dtype=np.float64)
-    live = [i for i, e in enumerate(batch) if not e.terminal]
-    if live:
-        nxt = np.stack([np.asarray(batch[i].next_state, dtype=np.float64)
-                        for i in live])
-        q = target_net.forward(nxt)
-        for row, i in enumerate(live):
+    best, stale = {}, []
+    for i, e in enumerate(batch):
+        if e.terminal:
+            continue
+        if (version is not None and e.target_max is not None
+                and e.target_max[0] is version):
+            best[i] = e.target_max[1]
+        else:
+            stale.append(i)
+    if stale:
+        q = target_net.forward(target_net.batch(
+            [batch[i].next_state for i in stale]))
+        for row, i in enumerate(stale):
             m = batch[i].next_mask
             qv = q[row] if m is None else np.where(np.asarray(m, bool),
                                                    q[row], -np.inf)
-            y[i] += gamma * qv.max()
+            best[i] = qv.max()
+            if version is not None:
+                batch[i].target_max = (version, best[i])
+    for i, q_max in best.items():
+        y[i] += gamma * q_max
     return y
 
 
@@ -89,9 +111,10 @@ class DQNAgent:
 
     A gradient step runs once per `train_every` stored experiences after
     `observe` experiences have been seen; the target network is reset to
-    the evaluation network every `sync_every` gradient steps.  Loss above
-    `loss_limit` aborts: a runaway Q-scale means a configuration error, and
-    silent divergence would waste a whole training run.
+    the evaluation network every `sync_every` gradient steps, and each
+    reset gets a new `target_version`, which retires every cached target.
+    Loss above `loss_limit` aborts: a runaway Q-scale means a configuration
+    error, and silent divergence would waste a whole training run.
     """
 
     def __init__(self, net: Sequential, replay, rng: np.random.Generator,
@@ -101,6 +124,7 @@ class DQNAgent:
                  train_every: int = 1, loss_limit: float = 1e6):
         self.net = net
         self.target = network_copy(net)
+        self.target_version = object()
         self.replay = replay
         self.rng = rng
         self.gamma, self.epsilon = gamma, epsilon
@@ -113,7 +137,7 @@ class DQNAgent:
         self.last_loss = None
 
     def act(self, state, mask=None, greedy: bool = False) -> int:
-        q = self.net.predict(np.asarray(state, dtype=np.float64))
+        q = self.net.predict(state)
         eps = 0.0 if greedy else self.epsilon
         return select_action(q, mask, eps, self.rng)
 
@@ -127,9 +151,8 @@ class DQNAgent:
         if len(self.replay) == 0:
             return None
         batch = self.replay.sample(self.batch_size, self.rng)
-        y = td_targets(batch, self.target, self.gamma)
-        states = np.stack([np.asarray(e.state, dtype=np.float64)
-                           for e in batch])
+        y = td_targets(batch, self.target, self.gamma, self.target_version)
+        states = self.net.batch([e.state for e in batch])
         actions = np.array([e.action for e in batch])
         q = self.net.forward(states)
         taken = q[np.arange(len(batch)), actions]
@@ -146,6 +169,7 @@ class DQNAgent:
         self.gradient_steps += 1
         if self.gradient_steps % self.sync_every == 0:
             self.target.copy_weights_from(self.net)
+            self.target_version = object()
         self.last_loss = loss
         return loss
 

@@ -36,15 +36,35 @@ class Sequential:
             if layer.params:
                 layer.needs_input_grad = False
                 break
+        # a convolution behind zero padding reads only zeros outside the
+        # windows that reach the padded input
+        for k, (pad, conv) in enumerate(zip(layers, layers[1:])):
+            if isinstance(pad, ZeroPad2D) and isinstance(conv, Conv2D):
+                conv.box = conv.windows_reaching(shapes[k + 1],
+                                                 *pad.interior(shapes[k]))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def batch(self, states: list) -> list | np.ndarray:
+        """`forward`'s input for a list of unbatched states.
+
+        Sparse states (those with a `cells()` list) stay a list when the
+        first layer is a convolution, which reads them without densifying;
+        any other states are stacked into one float64 array.
+        """
+        if (isinstance(self.layers[0], Conv2D)
+                and all(hasattr(s, "cells") for s in states)):
+            return list(states)
+        return np.stack([np.asarray(s, dtype=np.float64) for s in states])
+
+    def forward(self, x) -> np.ndarray:
+        """Action values for a batch: a stacked array, or a list of sparse
+        states when the first layer is a convolution."""
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def predict(self, state: np.ndarray) -> np.ndarray:
+    def predict(self, state) -> np.ndarray:
         """Action values for one unbatched state."""
-        return self.forward(np.asarray(state, dtype=np.float64)[None])[0]
+        return self.forward(self.batch([state]))[0]
 
     def backward(self, dy: np.ndarray) -> None:
         for layer in reversed(self.layers):

@@ -5,7 +5,10 @@ occupancy, normalized speed, normalized time-to-join, and a mask marking
 the lane the pending decision applies to.  The canvas is a 160x160 grid of
 2.5 m cells covering the square [-200, 200] m around the zone centre, which
 keeps the six zone cells centred and truncates each approach to its nearest
-77 cells.  States are kept sparse because replay holds a thousand of them.
+77 cells.  States are kept sparse because replay holds a thousand of them,
+and the layer-1 network reads them sparse: its first convolution computes
+only the windows their cells fall in (`SparseCanvas.cells`), so the hot
+path never builds the dense 4x160x160 tensor.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ class SparseCanvas:
     """Sparse four-channel state with dense conversion on demand.
 
     Channels: 0 occupancy, 1 speed fraction, 2 time-to-join fraction,
-    3 target-lane mask.  Vehicle channels share one cell list; the mask is a
-    reference to a canvas-owned index pair so a thousand stored states cost
-    kilobytes, not megabytes.
+    3 target-lane mask.  Vehicle channels share one cell list, which holds
+    each cell once; the mask is a reference to a canvas-owned index pair so
+    a thousand stored states cost kilobytes, not megabytes.
     """
 
     __slots__ = ("rows", "cols", "speed_vals", "ttj_vals", "mask_rows", "mask_cols")
@@ -47,12 +50,22 @@ class SparseCanvas:
     def shape(self):
         return (CANVAS_CHANNELS, CANVAS_CELLS, CANVAS_CELLS)
 
+    def cells(self) -> tuple:
+        """(channel, row, col, value) arrays of every stored entry: the
+        vehicle cells in channels 0-2, then the lane mask in channel 3."""
+        n, m = self.rows.size, self.mask_rows.size
+        return (np.repeat(np.arange(CANVAS_CHANNELS), (n, n, n, m)),
+                np.concatenate((self.rows, self.rows, self.rows,
+                                self.mask_rows)),
+                np.concatenate((self.cols, self.cols, self.cols,
+                                self.mask_cols)),
+                np.concatenate((np.ones(n), self.speed_vals, self.ttj_vals,
+                                np.ones(m))))
+
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[0, self.rows, self.cols] = 1.0
-        out[1, self.rows, self.cols] = self.speed_vals
-        out[2, self.rows, self.cols] = self.ttj_vals
-        out[3, self.mask_rows, self.mask_cols] = 1.0
+        ch, rows, cols, vals = self.cells()
+        out[ch, rows, cols] = vals
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -96,7 +109,7 @@ class FormationCanvas:
         bumper and ttj the seconds until that vehicle can join its lane's
         forming platoon.  Bodies beyond the canvas edge fall off the crop.
         All bodies are rasterized in one batch; where bodies share a cell,
-        the later row's values win.
+        the cell is stored once, with the later row's values.
         """
         if target_movement not in self._masks:
             raise KeyError(f"unknown movement {target_movement!r}")
@@ -107,6 +120,11 @@ class FormationCanvas:
         owner, rows, cols = rect_cells(
             platoon_footprint(bodies[:, :3], p), -CANVAS_HALF, -CANVAS_HALF,
             CANVAS_CELL_SIZE, CANVAS_CELLS, CANVAS_CELLS)
+        # the last entry of each cell, in rasterization order
+        key = rows * CANVAS_CELLS + cols
+        _, last = np.unique(key[::-1], return_index=True)
+        keep = np.sort(key.size - 1 - last)
+        owner, rows, cols = owner[keep], rows[keep], cols[keep]
         mr, mc = self._masks[target_movement]
         return SparseCanvas(rows.astype(np.int16), cols.astype(np.int16),
                             speed[owner], ttj[owner], mr, mc)

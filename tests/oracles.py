@@ -542,7 +542,7 @@ def scalar_path_cell_spans(movement, grid, params, march: float = 0.05) -> dict:
 
 def scalar_canvas(bodies, target_movement: str, layout, params,
                   horizon: float, cells: int = 160, cell: float = 2.5):
-    """(dense 4-channel canvas, vehicle-cell entry count), one body at a time.
+    """(dense 4-channel canvas, distinct vehicle cells), one body at a time.
 
     `bodies` holds rows (x, y, heading, speed, ttj) with (x, y) the front
     bumper.  Channels as in the formation canvas: occupancy, speed
@@ -551,7 +551,7 @@ def scalar_canvas(bodies, target_movement: str, layout, params,
     """
     half = 0.5 * cells * cell
     out = np.zeros((4, cells, cells))
-    nnz = 0
+    occupied = set()
     for x, y, heading, speed, ttj in np.asarray(bodies, dtype=float).tolist():
         f = (math.sin(heading), math.cos(heading))
         cx = x - 0.5 * params.length * f[0]
@@ -563,7 +563,7 @@ def scalar_canvas(bodies, target_movement: str, layout, params,
         ttj = min(max(ttj / horizon, 0.0), 1.0)
         for r, c in hit:
             out[0:3, r, c] = (1.0, speed, ttj)
-        nnz += len(hit)
+        occupied.update(hit)
     movement = layout.movement(target_movement)
     x0, y0, h0 = scalar_pose(movement, 0.0)
     x1, y1, _ = scalar_pose(movement, -layout.formation_length)
@@ -572,7 +572,7 @@ def scalar_canvas(bodies, target_movement: str, layout, params,
                                  layout.lane_width, h0)
     for r, c in scalar_rect_cells(strip, -half, -half, cell, cells, cells):
         out[3, r, c] = 1.0
-    return out, nnz
+    return out, len(occupied)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +603,38 @@ def naive_conv(x, w, b, sh: int, sw: int):
                                                          j * sw + q]
                     y[n, f, i, j] = acc + b[f]
     return y
+
+
+class TransposedMaxPool:
+    """Non-overlapping max pooling by a transposed copy of every window.
+
+    The package's former `MaxPool2D`: each window is copied out as one row
+    of ph*pw elements in row-major order, `argmax` takes the first maximum
+    of the row, and the backward pass routes each gradient back to that
+    element with `put_along_axis`.
+    """
+
+    def __init__(self, size):
+        self.size = tuple(size)
+
+    def forward(self, x):
+        b, c, h, w = x.shape
+        ph, pw = self.size
+        win = (x.reshape(b, c, h // ph, ph, w // pw, pw)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(b, c, h // ph, w // pw, ph * pw))
+        self._argmax = win.argmax(axis=-1)
+        self._in_shape = x.shape
+        return win.max(axis=-1)
+
+    def backward(self, dy):
+        b, c, h, w = self._in_shape
+        ph, pw = self.size
+        flat = np.zeros((b, c, h // ph, w // pw, ph * pw))
+        np.put_along_axis(flat, self._argmax[..., None], dy[..., None], axis=-1)
+        return (flat.reshape(b, c, h // ph, w // pw, ph, pw)
+                    .transpose(0, 1, 2, 4, 3, 5)
+                    .reshape(b, c, h, w))
 
 
 def finite_diff_grads(loss_fn, arrays, h: float = 1e-4):

@@ -7,6 +7,7 @@ import scipy.stats
 from platoonsim.drl import (Adam, Dense, DQNAgent, Experience, ReLU,
                             ReplayBuffer, Sequential, select_action,
                             td_targets)
+from platoonsim.drl import agent as agent_module
 from platoonsim.drl.agent import network_copy
 
 from oracles import train_loop, value_iteration
@@ -124,6 +125,31 @@ def test_td_target_respects_next_mask():
     assert td_targets(batch, net, 0.9)[0] == pytest.approx(1.9)
 
 
+def test_td_target_cache_is_reused_only_at_its_version():
+    net = _const_net([2.0, 1.0, 0.0])
+    exp = Experience(np.zeros(1), 0, 1.0, np.zeros(1))
+    v1, v2 = object(), object()
+    assert td_targets([exp], net, 0.9, v1)[0] == pytest.approx(2.8)
+    assert exp.target_max == (v1, 2.0)
+    net.parameters()[1][...] = [5.0, 1.0, 0.0]
+    # same version: the cached max stands in for the network
+    assert td_targets([exp], net, 0.9, v1)[0] == pytest.approx(2.8)
+    # a new version, or no version, reads the network again
+    assert td_targets([exp], net, 0.9)[0] == pytest.approx(5.5)
+    assert exp.target_max == (v1, 2.0)
+    assert td_targets([exp], net, 0.9, v2)[0] == pytest.approx(5.5)
+    assert exp.target_max == (v2, 5.0)
+
+
+def test_experience_equality_ignores_the_cached_target():
+    a = Experience([0.0], 1, 0.5, [1.0], [True, False, True])
+    b = Experience([0.0], 1, 0.5, [1.0], [True, False, True])
+    td_targets([a], _const_net([2.0, 1.0, 0.0]), 0.9, object())
+    assert a.target_max is not None and b.target_max is None
+    assert a == b
+    assert repr(a) == repr(b)
+
+
 # ---------------------------------------------------------------------------
 # replay memory
 
@@ -215,6 +241,59 @@ def test_target_lags_between_syncs():
     same = all(np.array_equal(a, b) for a, b in
                zip(agent.target.parameters(), agent.net.parameters()))
     assert not same
+
+
+def _recording_td_targets(monkeypatch, agent, log):
+    """Wrap td_targets: log (cached targets, targets recomputed without the
+    cache on the same batch, target-network rows each of them read)."""
+    real = agent_module.td_targets
+    rows = [0]
+    forward = agent.target.forward
+
+    def counting(x):
+        rows[0] += len(x)
+        return forward(x)
+
+    def checked(batch, target_net, gamma, version=None):
+        start = rows[0]
+        fresh = real(batch, target_net, gamma)
+        mid = rows[0]
+        got = real(batch, target_net, gamma, version)
+        log.append((got, fresh, rows[0] - mid, mid - start))
+        return got
+
+    monkeypatch.setattr(agent.target, "forward", counting)
+    monkeypatch.setattr(agent_module, "td_targets", checked)
+
+
+def test_target_cache_is_retired_at_every_sync(monkeypatch):
+    agent = _agent(observe=0, sync_every=1, batch_size=8)
+    log = []
+    _recording_td_targets(monkeypatch, agent, log)
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        agent.remember(_random_experience(rng))
+    assert len(log) == 40
+    for got, fresh, cached_rows, fresh_rows in log:
+        assert np.array_equal(got, fresh)
+        assert cached_rows == fresh_rows
+
+
+def test_target_cache_serves_redrawn_experiences_between_syncs(monkeypatch):
+    agent = _agent(observe=0, sync_every=1000, batch_size=8)
+    log = []
+    _recording_td_targets(monkeypatch, agent, log)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        agent.remember(_random_experience(rng))
+    for got, fresh, _, _ in log:
+        np.testing.assert_allclose(got, fresh, rtol=1e-12, atol=1e-12)
+    cached_rows = sum(entry[2] for entry in log)
+    fresh_rows = sum(entry[3] for entry in log)
+    # every experience drawn so far was read once at this version
+    drawn = sum(e.target_max is not None for e in agent.replay._items)
+    assert cached_rows == drawn <= 40
+    assert fresh_rows > 6 * cached_rows
 
 
 def test_train_every_thins_gradient_steps():

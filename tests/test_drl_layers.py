@@ -1,16 +1,22 @@
-"""Layer and network tests: shape chains, loop oracles, finite differences."""
+"""Layer and network tests: shape chains, loop oracles, finite differences,
+and the sparse canvas path against the dense one."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from platoonsim.drl import (Conv2D, Dense, Flatten, MaxPool2D, ReLU,
-                            Sequential, ZeroPad2D, coordination_network,
-                            formation_network, load_checkpoint,
-                            network_from_spec, save_checkpoint)
+from platoonsim.drl import (Conv2D, Dense, DQNAgent, Flatten, MaxPool2D,
+                            ReLU, ReplayBuffer, Sequential, ZeroPad2D,
+                            coordination_network, formation_network,
+                            load_checkpoint, network_from_spec,
+                            save_checkpoint)
+from platoonsim.dynamics import VehicleParams
+from platoonsim.formation import FormationCanvas, SparseCanvas
+from platoonsim.geometry import default_layout
 
-from oracles import finite_diff_grads, naive_conv, rel_err
+from oracles import TransposedMaxPool, finite_diff_grads, naive_conv, rel_err
 
 
 RNG = np.random.default_rng(7)
@@ -66,11 +72,35 @@ def test_maxpool_rejects_non_tiling_input():
 
 
 def test_maxpool_tie_routes_to_first_element():
+    # an all-equal window sends its gradient to its top-left element
     layer = MaxPool2D((2, 2))
-    x = np.ones((1, 1, 2, 2))
-    layer.forward(x)
-    dx = layer.backward(np.array([[[[3.0]]]]))
-    assert np.array_equal(dx[0, 0], [[3.0, 0.0], [0.0, 0.0]])
+    layer.forward(np.full((2, 3, 6, 4), 0.25))
+    dy = RNG.standard_normal((2, 3, 3, 2))
+    dx = layer.backward(dy)
+    assert np.array_equal(dx[:, :, 0::2, 0::2], dy)
+    dx[:, :, 0::2, 0::2] = 0.0
+    assert not dx.any()
+
+
+_SHIPPED_POOLS = {
+    "formation-52x52": (formation_network(33), 2),
+    "coordination-g24": (coordination_network(24), 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHIPPED_POOLS))
+def test_maxpool_matches_transposed_oracle_on_ties(name):
+    net, k = _SHIPPED_POOLS[name]
+    layer = net.layers[k]
+    assert isinstance(layer, MaxPool2D)
+    oracle = TransposedMaxPool(layer.size)
+    rng = np.random.default_rng(k)
+    # three levels leave most windows with a tied maximum
+    x = rng.integers(0, 3, (2,) + net.shapes[k]).astype(float)
+    y = layer.forward(x)
+    assert np.array_equal(y, oracle.forward(x))
+    dy = rng.standard_normal(y.shape)
+    assert np.array_equal(layer.backward(dy), oracle.backward(dy))
 
 
 def test_zeropad_centered_margins():
@@ -192,6 +222,15 @@ def test_conv_input_gradient_is_adjoint_of_forward(name, k):
     layer.needs_input_grad = True
     rng = np.random.default_rng(k)
     x = rng.standard_normal((2,) + net.shapes[k])
+    if layer.box is not None:
+        # behind zero padding: only the box of windows that reach the
+        # interior is computed, and it must equal the full convolution
+        x = net.layers[k - 1].forward(
+            rng.standard_normal((2,) + net.shapes[k - 1]))
+        box, layer.box = layer.box, None
+        want = layer.forward(x)
+        layer.box = box
+        assert np.array_equal(layer.forward(x), want)
     y = layer.forward(x) - layer.params[1][None, :, None, None]
     dy = rng.standard_normal(y.shape)
     dx = layer.backward(dy)
@@ -204,6 +243,20 @@ def test_conv_input_gradient_is_adjoint_of_forward(name, k):
     assert not dx[:, :, reach_h:].any() and not dx[:, :, :, reach_w:].any()
     if (name, k) == ("formation", 0):
         assert (reach_h, reach_w) == (158, 158)
+
+
+def test_convs_behind_padding_read_only_the_windows_reaching_the_input():
+    # formation layer 6: 49 of 144 windows reach the 12x12 map padded to
+    # 26x26; each coordination net's first conv likewise
+    boxes = {name: [(k, layer.box) for k, layer in enumerate(net.layers)
+                    if isinstance(layer, Conv2D) and layer.box is not None]
+             for name, net in _SHIPPED_NETS.items()}
+    assert boxes == {"formation": [(6, (3, 10, 3, 10))],
+                     "coordination-g6": [(1, (3, 11, 3, 11))],
+                     "coordination-g12": [(1, (2, 16, 2, 16))],
+                     "coordination-g24": [(1, (1, 27, 1, 27))]}
+    twin = network_from_spec(_SHIPPED_NETS["formation"].spec())
+    assert twin.layers[6].box == (3, 10, 3, 10)
 
 
 def test_first_parameter_layer_skips_input_gradient():
@@ -313,3 +366,110 @@ def test_checkpoint_rejects_truncated_weights(tmp_path):
     path.write_bytes(path.read_bytes()[:-80])
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# sparse formation canvas against its dense tensor
+
+_CANVAS = FormationCanvas(default_layout(), VehicleParams(), horizon=60.0)
+_MOVEMENTS = sorted(_CANVAS._masks)
+_STEM_RNG = np.random.default_rng(21)
+_STEM_NET = formation_network(33, _STEM_RNG)
+for _layer in _STEM_NET.layers:
+    # nonzero biases, so that windows left out of the sparse path show
+    if _layer.params:
+        _layer.params[1][...] = 0.1 * _STEM_RNG.standard_normal(
+            _layer.params[1].shape)
+
+# front bumpers anywhere on the canvas, or near its far edges, where cells
+# in rows and columns 158-159 lie in no window of the 5x5/3 stem
+_COORD = st.one_of(st.floats(-200.0, 200.0), st.floats(192.0, 200.0))
+_BODY = st.tuples(_COORD, _COORD, st.floats(-np.pi, np.pi),
+                  st.floats(0.0, 20.0), st.floats(0.0, 90.0))
+_CELL = st.one_of(st.integers(0, 159), st.integers(155, 159))
+
+
+@st.composite
+def _encoded_state(draw):
+    """A canvas of random bodies; a shifted copy of the first shares cells
+    with it, so the rasterizer sees duplicates."""
+    rows = draw(st.lists(_BODY, max_size=6))
+    if rows and draw(st.booleans()):
+        x, y, heading, _, ttj = rows[0]
+        rows.append((x + 0.7, y - 0.4, heading, draw(st.floats(0.0, 20.0)),
+                     ttj))
+    return _CANVAS.encode(rows, draw(st.sampled_from(_MOVEMENTS)))
+
+
+@st.composite
+def _raw_state(draw, mask: bool = True):
+    """A canvas of unique random vehicle cells, edge cells likely, and,
+    as on every canvas `encode` makes, one lane mask."""
+    cells = sorted(draw(st.sets(st.tuples(_CELL, _CELL), max_size=40)))
+    r, c = (np.array([cell[k] for cell in cells], dtype=np.int16)
+            for k in (0, 1))
+    vals = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * r.size,
+                         max_size=2 * r.size))
+    mr, mc = (_CANVAS._masks[draw(st.sampled_from(_MOVEMENTS))] if mask
+              else (np.zeros(0, np.int16),) * 2)
+    return SparseCanvas(r, c, np.array(vals[:r.size]),
+                        np.array(vals[r.size:]), mr, mc)
+
+
+_STATE = st.one_of(_encoded_state(), _raw_state())
+
+
+def _stem_pass(conv, x):
+    y = conv.forward(x)
+    conv.backward(np.random.default_rng(len(x)).standard_normal(y.shape))
+    return y, [g.copy() for g in conv.grads]
+
+
+# A matrix product with fewer than about 1,200 entries may take the BLAS's
+# small-matrix kernel, whose last bit can differ from the same rows of a
+# larger product.  A lane mask alone puts 25-52 live windows (32 filters
+# each) in a canvas, so the product for two or more canvases, like every
+# replay batch, has at least 1,600 entries; for one canvas it may not.
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_STATE, min_size=2, max_size=4))
+def test_sparse_stem_matches_dense_stem(states):
+    conv = _STEM_NET.layers[0]
+    y, grads = _stem_pass(conv, states)
+    y_dense, grads_dense = _stem_pass(conv, np.stack([s.dense()
+                                                      for s in states]))
+    assert np.array_equal(y, y_dense)
+    for got, want in zip(grads, grads_dense):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(_STATE, min_size=1, max_size=1),
+                 st.lists(_raw_state(mask=False), min_size=1, max_size=2)))
+def test_sparse_stem_on_a_few_windows_agrees_within_rounding(states):
+    conv = _STEM_NET.layers[0]
+    y, grads = _stem_pass(conv, states)
+    y_dense, grads_dense = _stem_pass(conv, np.stack([s.dense()
+                                                      for s in states]))
+    assert np.max(np.abs(y - y_dense)) <= 1e-14 * np.max(np.abs(y_dense))
+    for got, want in zip(grads, grads_dense):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_STATE)
+def test_sparse_state_reads_like_its_dense_tensor(state):
+    agent = DQNAgent(_STEM_NET, ReplayBuffer(1), np.random.default_rng(0))
+    q, q_dense = _STEM_NET.predict(state), _STEM_NET.predict(state.dense())
+    assert np.max(np.abs(q - q_dense)) <= 1e-13 * np.max(np.abs(q_dense))
+    assert agent.act(state, greedy=True) == agent.act(state.dense(),
+                                                      greedy=True)
+
+
+def test_sparse_batch_has_no_input_gradient():
+    conv = Conv2D(4, 2, (5, 5), (3, 3))
+    conv.needs_input_grad = True
+    y = conv.forward([_CANVAS.encode([], "south-north")])
+    with pytest.raises(ValueError, match="sparse"):
+        conv.backward(np.ones_like(y))

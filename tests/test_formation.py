@@ -80,6 +80,26 @@ def test_vehicle_occupancy_cells_frozen():
     assert np.all(dense[2][dense[0] == 0] == 0)
 
 
+@pytest.mark.parametrize("later", [0, 1])
+def test_overlapping_bodies_store_each_cell_once_with_later_values(later):
+    # A covers rows 75-76 and B rows 74-75 of column 81; row 75 is shared
+    a = (3.75, -7.5, 0.0, 10.0, 30.0)
+    b = (3.75, -10.0, 0.0, 4.0, 12.0)
+    rows_in = (b, a) if later == 0 else (a, b)
+    state = CANVAS.encode(bodies(*rows_in), "south-north")
+    cells = list(zip(state.rows.tolist(), state.cols.tolist()))
+    assert sorted(cells) == [(74, 81), (75, 81), (76, 81)]
+    last = rows_in[-1]
+    shared = cells.index((75, 81))
+    assert state.speed_vals[shared] == last[3] / PARAMS.v_max
+    assert state.ttj_vals[shared] == last[4] / 60.0
+    ch, r, c, _ = state.cells()
+    assert len(set(zip(ch.tolist(), r.tolist(), c.tolist()))) == ch.size
+    dense = state.dense()
+    assert dense[1, 75, 81] == last[3] / PARAMS.v_max
+    assert dense[2, 75, 81] == last[4] / 60.0
+
+
 def test_vehicle_beyond_canvas_is_cropped_out():
     veh = bodies((3.75, -203.0, 0.0, 5.0, 10.0))
     dense = np.asarray(CANVAS.encode(veh, "south-north"))
