@@ -1,4 +1,4 @@
-"""Command-line entry points for training, evaluation, sweeps, and replay."""
+"""Command-line entry points for training, evaluation and replay."""
 
 import os
 
@@ -16,8 +16,7 @@ from .baselines import PLATOON_POLICIES, POLICY_KINDS
 from .config import SimConfig
 from .metrics import export_metrics
 from .simulation import Simulation, shared_context
-from .training import (comparison_table, evaluate, load_agents,
-                       sweep_granularity, train)
+from .training import comparison_table, evaluate, load_agents, train
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -87,26 +86,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    extra = {}
-    if args.episodes is not None:
-        extra["M"] = args.episodes
-    config = _resolve(args, **extra)
-    out = args.out or "out/sweep"
-
-    def progress(m):
-        print(f"  episode {m.episode:3d}  deadlocks {m.deadlock_events}",
-              flush=True)
-
-    summary = sweep_granularity(config, out, progress=progress, reuse=True)
-    for (g, seed), digest in sorted(summary.items()):
-        print(f"g={g:2d} seed={seed}  layer2 reward {digest['final_layer2_reward']:8.3f}  "
-              f"deadlocks {digest['final_deadlocks']:3d}  "
-              f"travel {digest['final_travel_time']:7.2f}")
-    print(f"wrote per-run logs and summary.json to {out}")
-    return 0
-
-
 def _cmd_replay(args) -> int:
     extra = {"policy": args.policy} if args.policy else {}
     config = _resolve(args, **extra)
@@ -149,11 +128,6 @@ def main(argv=None) -> int:
     p_eval.add_argument("--checkpoint", help="root directory of trained runs, "
                                              "one subdirectory per policy")
 
-    p_sweep = sub.add_parser("sweep-granularity",
-                             help="train across zone granularities")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--episodes", type=int, help="training episodes (M)")
-
     p_replay = sub.add_parser("replay",
                               help="re-run one seed with a per-step dump")
     _add_common(p_replay)
@@ -162,8 +136,7 @@ def main(argv=None) -> int:
                           help="trained run directory for learned policies")
 
     args = parser.parse_args(argv)
-    handlers = {"train": _cmd_train, "eval": _cmd_eval,
-                "sweep-granularity": _cmd_sweep, "replay": _cmd_replay}
+    handlers = {"train": _cmd_train, "eval": _cmd_eval, "replay": _cmd_replay}
     return handlers[args.verb](args)
 
 

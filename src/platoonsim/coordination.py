@@ -120,6 +120,12 @@ class SharedRegion:
     enter: float
     clear: float
 
+    @property
+    def bar(self) -> float:
+        """Stop-before arc.  It never lies behind the stop line, where some
+        g = 6 regions start, so a platoon standing there is not committed."""
+        return max(self.enter - BAR_MARGIN, 0.0)
+
 
 @dataclass(frozen=True)
 class PathRaster:
@@ -343,8 +349,8 @@ class CoordinationTracker:
 
     def _committed(self, view: PlatoonView, region: SharedRegion) -> bool:
         """Cannot stop before the region's first cell any more."""
-        bar = region.enter - BAR_MARGIN
-        return view.front + msd(view.speed, self.params.a_max) > bar + 1e-9
+        return (view.front + msd(view.speed, self.params.a_max)
+                > region.bar + 1e-9)
 
     def _in_envelope(self, view: PlatoonView, region: SharedRegion) -> bool:
         """One free-intent step from now, stopping before the region fails.
@@ -356,7 +362,7 @@ class CoordinationTracker:
         v2, d = step_vehicle(view.speed, self.params.a_max, self.dt,
                              self.params.v_max)
         reach = view.front + d + msd(v2, self.params.a_max)
-        return reach > region.enter - BAR_MARGIN
+        return reach > region.bar
 
     def _member_arcs(self, view: PlatoonView):
         pitch = self._pitch()
@@ -508,7 +514,7 @@ class CoordinationTracker:
                     f"platoons {first.pid} and {second.pid} both hold region "
                     f"{cells}...; coordination was decided too late")
             waiter, holder = first, second
-        bar = self._region(waiter, holder).enter - BAR_MARGIN
+        bar = self._region(waiter, holder).bar
         if bars[waiter.pid] is None or bar < bars[waiter.pid]:
             bars[waiter.pid] = bar
         blocking[waiter.pid].add(holder.pid)

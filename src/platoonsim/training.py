@@ -1,4 +1,4 @@
-"""Episode orchestration: calibration, training, evaluation, granularity sweep.
+"""Episode orchestration: calibration, training and evaluation.
 
 Every random stream is derived from ``config.seed`` through disjoint
 spawn keys, so a (config, seed) pair pins the entire run: arrival
@@ -20,12 +20,10 @@ from .drl.network import (coordination_network, formation_network,
                           load_checkpoint, save_checkpoint)
 from .drl.replay import ReplayBuffer
 from .formation import FactorNormalizer
-from .metrics import EpisodeMetrics, export_metrics, read_csv
+from .metrics import EpisodeMetrics, export_metrics
 from .simulation import Simulation, shared_context
 
 CHECKPOINT_EVERY = 10
-SWEEP_GRANULARITIES = (6, 12, 24)
-SWEEP_REPLICATES = 5
 
 # spawn keys partitioning the seed space per use
 _CALIBRATION_STREAM = 0
@@ -78,11 +76,6 @@ def calibrate(config: SimConfig, shared=None) -> FactorNormalizer:
     return norm
 
 
-def _checkpoint_names(policy: str, tag: str) -> list:
-    return [f"layer{n}_{tag}.ckpt"
-            for n, learns in enumerate(agent_layers(policy), start=1) if learns]
-
-
 def _save_agents(out: Path, config: SimConfig, layer1, layer2, tag: str,
                  episode: int) -> None:
     meta = {"policy": config.policy, "g": config.g, "seed": config.seed,
@@ -92,39 +85,17 @@ def _save_agents(out: Path, config: SimConfig, layer1, layer2, tag: str,
             save_checkpoint(out / f"{name}_{tag}.ckpt", agent.net, meta)
 
 
-def _finished_run(out: Path, config: SimConfig):
-    """The metric log of a completed run in `out`, or None."""
-    path = out / "metrics.csv"
-    if not path.exists():
-        return None
-    try:
-        log = read_csv(path)
-    except Exception:
-        return None
-    if len(log) != config.M:
-        return None
-    for name in _checkpoint_names(config.policy, "final"):
-        if not (out / name).exists():
-            return None
-    return log
-
-
-def train(config: SimConfig, out_dir, progress=None, reuse: bool = False):
+def train(config: SimConfig, out_dir, progress=None):
     """Calibrate, then train both layers concurrently for M episodes.
 
     Writes checkpoints every CHECKPOINT_EVERY episodes plus a final one,
     the calibrated normalizer, and the per-episode metric log as CSV and
-    JSON.  `reuse=True` returns the existing log when `out_dir` already
-    holds a completed run.  Only platoon policies have trainable agents.
+    JSON.  Only platoon policies have trainable agents.
     """
     if config.policy not in PLATOON_POLICIES:
         raise ValueError(f"policy {config.policy!r} has no trainable agents; "
                          f"choose one of {PLATOON_POLICIES}")
     out = Path(out_dir)
-    if reuse:
-        log = _finished_run(out, config)
-        if log is not None:
-            return log
     out.mkdir(parents=True, exist_ok=True)
     shared = shared_context(config)
     layer1, layer2 = build_agents(config)
@@ -189,16 +160,15 @@ def load_agents(run_dir, config: SimConfig):
     return layer1, layer2, normalizer
 
 
-def evaluate(config: SimConfig, checkpoint_root, policies, n_episodes: int,
-             eval_seed: int | None = None) -> dict:
+def evaluate(config: SimConfig, checkpoint_root, policies,
+             n_episodes: int) -> dict:
     """Frozen-policy comparison over common episode seeds.
 
     Every policy sees the identical demand sequence, so the comparison is
     paired.  Learned policies load `<checkpoint_root>/<policy>/` and act
     greedily; a missing checkpoint is an error.
     """
-    seeds = episode_seeds(config.seed if eval_seed is None else eval_seed,
-                          n_episodes, _EVALUATION_STREAM)
+    seeds = episode_seeds(config.seed, n_episodes, _EVALUATION_STREAM)
     results = {}
     for policy in policies:
         run_cfg = config.override(policy=policy)
@@ -237,41 +207,3 @@ def comparison_table(results: dict) -> list:
             "safety_violations": int(sum(m.safety_violations for m in log)),
         })
     return rows
-
-
-def run_summary(log: list, window: int = 10) -> dict:
-    """Final-window digest of a training log for sweep comparisons."""
-    tail = log[-window:]
-    return {
-        "episodes": len(log),
-        "final_layer2_reward": float(np.mean([m.layer2_reward for m in tail])),
-        "final_deadlocks": int(sum(m.deadlock_events for m in tail)),
-        "final_travel_time": float(np.mean([m.mean_travel_time
-                                            for m in tail if m.exited])),
-    }
-
-
-def sweep_granularity(config: SimConfig, out_root,
-                      granularities=SWEEP_GRANULARITIES,
-                      replicates: int = SWEEP_REPLICATES,
-                      progress=None, reuse: bool = False) -> dict:
-    """Train per (granularity, replicate) and digest the final episodes.
-
-    Replicate i runs with seed config.seed + i under each granularity, so
-    the per-seed pairs are comparable.  Returns {(g, seed): digest} and
-    writes the same table to `<out_root>/summary.json`.
-    """
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    for g in granularities:
-        for rep in range(replicates):
-            run_cfg = config.override(g=g, seed=config.seed + rep)
-            run_dir = out / f"g{g}-seed{run_cfg.seed}"
-            log = train(run_cfg, run_dir, progress=progress, reuse=reuse)
-            summary[(g, run_cfg.seed)] = run_summary(log)
-    table = {f"g{g}-seed{seed}": digest
-             for (g, seed), digest in summary.items()}
-    (out / "summary.json").write_text(json.dumps(table, indent=2),
-                                      encoding="utf-8")
-    return summary

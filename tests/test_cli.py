@@ -1,9 +1,10 @@
-"""Command-line smoke test: `eval` and `replay` on the shipped desk preset."""
+"""Command-line smoke test: `eval`, `train` and `replay` on the desk preset."""
 
 import json
 from pathlib import Path
 
 from platoonsim.cli import main
+from platoonsim.config import SimConfig
 
 DESK_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "desk.cfg")
 
@@ -27,3 +28,19 @@ def test_replay_writes_one_trace_line_per_step(tmp_path):
     lines = trace.read_text().splitlines()
     assert len(lines) == 600   # T / dt of the desk preset
     json.loads(lines[0])
+
+
+def test_train_then_replay_the_trained_checkpoint(tmp_path, capsys):
+    cfg = tmp_path / "smoke.cfg"
+    SimConfig.desk(T=120.0, M=1, calibration_episodes=1, O=0).save(cfg)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    assert {p.name for p in run.iterdir()} == {
+        "layer1_final.ckpt", "layer2_final.ckpt", "normalizer.json",
+        "metrics.csv", "metrics.json"}
+    assert "episode   1" in capsys.readouterr().out
+    trace = tmp_path / "t.jsonl"
+    assert main(["replay", "--config", str(cfg), "--checkpoint", str(run),
+                 "--out", str(trace)]) == 0
+    assert len(trace.read_text().splitlines()) == 120
+    assert "under coor-plt" in capsys.readouterr().out

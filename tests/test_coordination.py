@@ -566,5 +566,20 @@ def test_committed_margin_excludes_exact_standstill_at_bar():
     assert plan.blocking[1] == {2}
 
 
+def test_release_on_the_stop_line_is_not_committed_at_g6():
+    # at g = 6 the south-west region shared with east-south starts on the
+    # stop line; a bar behind it made the standing platoon look committed,
+    # and the pair raised SafetyFault
+    raster = PathRaster.build(LAYOUT, Grid(6), PARAMS)
+    assert raster.regions[("south-west", "east-south")].enter == 0.0
+    region = raster.regions[("east-south", "south-west")]
+    tracker = CoordinationTracker(LAYOUT, raster, PARAMS, 1.0)
+    views = [PlatoonView(1, "east-south", region.enter + 1.0, 10.0, 1),
+             PlatoonView(2, "south-west", 0.0, 0.0, 1)]
+    plan = tracker.step(views, 0.0, lambda s, m, mem: 0)
+    assert plan.bars == {1: None, 2: 0.0}
+    assert plan.blocking == {1: set(), 2: {1}}
+
+
 def test_stopping_distance_spot_value():
     assert msd(20.0, PARAMS.a_max) == pytest.approx(40.0, abs=0.1)

@@ -401,6 +401,17 @@ def test_paper_flow_orders_the_platoons_a_crowded_set_leaves_out():
     m.check_conservation()
 
 
+def test_g6_platoons_released_on_the_stop_line_cross():
+    # four g = 6 regions start on the stop line; a platoon released there
+    # from standstill counted as committed and, with its rival inside the
+    # region, the tracker raised SafetyFault at step 75
+    cfg = SimConfig.desk(condition=2, g=6, policy="fp", T=90.0)
+    m = Simulation(cfg, seed=2, calibrating=True,
+                   normalizer=FactorNormalizer()).run()
+    assert m.steps == 90
+    m.check_conservation()
+
+
 # -- safety audit -------------------------------------------------------------------------
 
 
@@ -467,6 +478,17 @@ def test_swept_audit_misses_no_substep_conflict(tmp_path):
             <= dump["t"] + dump["dt"]
     assert max(a["interval"][0], b["interval"][0]) \
         <= min(a["interval"][1], b["interval"][1])
+
+
+def test_webster_rates_weight_the_switching_tiers_by_time():
+    cfg = DESK.override(condition=3, switch_time=150.0)  # a quarter of T
+    moderate = webster_rates(cfg.override(condition=1))
+    high = webster_rates(cfg.override(condition=2))
+    assert webster_rates(cfg) == pytest.approx(
+        {mk: 0.25 * moderate[mk] + 0.75 * high[mk] for mk in moderate})
+    # a switch at or beyond the horizon never shows the high tier
+    for switch in (cfg.T, 2 * cfg.T):
+        assert webster_rates(cfg.override(switch_time=switch)) == moderate
 
 
 def test_webster_crossings_only_on_green_or_committed():

@@ -1,9 +1,9 @@
-"""Training pipeline smoke test: train, reuse, restore and evaluate.
+"""Training pipeline smoke test: train, restore and evaluate.
 
 Each platoon policy trains two short desk episodes with no observation
 warm-up, so every layer it learns takes gradient steps (and runs the
 convolution backward passes); the checkpoints it writes are then re-read
-through `train(reuse=True)`, `load_agents` and `evaluate`.
+through `load_agents` and `evaluate`.
 """
 
 import numpy as np
@@ -13,9 +13,6 @@ from platoonsim import training
 from platoonsim.baselines import PLATOON_POLICIES, POLICY_KINDS, agent_layers
 from platoonsim.config import SimConfig
 from platoonsim.drl.network import coordination_network, save_checkpoint
-
-from oracles import csv_equal
-
 
 BASE = SimConfig.desk(condition=2, T=120.0, M=2, calibration_episodes=1,
                       O=0, seed=4)
@@ -57,20 +54,6 @@ def test_train_writes_checkpoints_normalizer_and_logs(trained):
             assert (agent is not None) == learns
             if learns:
                 assert agent.gradient_steps > 0, policy
-
-
-def test_reuse_returns_the_logged_run_without_an_episode(trained,
-                                                         monkeypatch):
-    _, runs = trained
-
-    def no_episode(*args, **kwargs):
-        raise AssertionError("reuse ran an episode")
-
-    monkeypatch.setattr(training, "Simulation", no_episode)
-    for config, out, log, _ in runs.values():
-        again = training.train(config, out, reuse=True)
-        assert len(again) == len(log)
-        assert all(csv_equal(a, b) for a, b in zip(again, log))
 
 
 def test_load_agents_restores_the_trained_weights(trained):
