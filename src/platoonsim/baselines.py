@@ -43,12 +43,17 @@ def agent_layers(policy: str) -> tuple:
 def random_priority_decider(rng: np.random.Generator):
     """decide_fn for the zone tracker: ignores the state and draws one of
     the group's k! passing orders uniformly, as the action whose leading
-    slots are the drawn permutation and whose tail is the identity."""
+    slots are the drawn permutation and whose tail is the identity.  It
+    draws again until the mask admits the action, so the result is uniform
+    over the admitted orders."""
 
-    def decide(_state, _mask, members) -> int:
+    def decide(_state, mask, members) -> int:
         k = len(members)
-        return PERMS.index(tuple(rng.permutation(k).tolist())
-                           + tuple(range(k, K_MAX)))
+        while True:
+            action = PERMS.index(tuple(rng.permutation(k).tolist())
+                                 + tuple(range(k, K_MAX)))
+            if mask[action]:
+                return action
 
     return decide
 

@@ -7,27 +7,30 @@ classified every step: free when nobody contests the region, blocked when a
 rival occupies or has committed to it, coordinated when both sides are close
 enough that the decision can no longer wait.  A coordinated group picks one
 joint priority permutation (a 24-way action head shared across group sizes),
-holds it until everyone crossed, and scores the episode by how long the
+and is scored, once every member has left the zone, by how long the
 crossing took.
 
-Every contested pair is settled by one give-way rule: the platoon that goes
-second waits before the region it shares with the first, unless it can no
-longer stop before that region, in which case the first waits instead; if
-neither can stop, coordination came too late and the tracker raises
-SafetyFault.  A pair no group ranks goes first-committed-first.  A group
-ranks its members by its chosen order.  Its spectators, the platoons of the
-conflict set it leaves out (past the size cap, nearest to a region first,
-or because a group already ranks them against a kept member), rank below
-every member and among themselves in that order, until all members' roles
-are done.  The oldest group that ranks a pair decides it alone, so no pair
-is ever barred both ways.
+Every contested pair waits by one zone-wide precedence order, highest
+priority first.  A platoon enters the order when it commits to a region it
+contests (at the front) or when a conflict set it belongs to is decided:
+the group's chosen permutation is merged in, each new member just before
+the next already-ordered member that follows it, and the platoons the size
+cap leaves out go last, nearest to a region first.  Layer 2 may only choose
+permutations that keep already-ordered members in their order.  A pair with
+one platoon unordered waits only if the ordered one is committed, and a
+platoon leaves the order when it leaves the zone.  The one give-way rule:
+the platoon that goes second waits before the region it shares with the
+first, unless it can no longer stop before that region, in which case the
+first waits instead; if neither can stop, coordination came too late and
+the tracker raises SafetyFault.  Only such a physics reversal can close a
+wait-for cycle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -290,25 +293,13 @@ class ZonePlan:
 class _Group:
     gid: int
     members: list          # canonical order (sorted by movement key)
-    order: list            # pids, highest priority first
     state: np.ndarray
     action: int
     t0: float
-    spectators: list       # left out of the conflict set, ranked after order
     role_done: dict        # pid -> time it cleared all its in-group regions
     exited: dict           # pid -> time its tail left the zone
     next_state: dict = field(default_factory=dict)  # pid -> follow-on state
     next_mask: dict = field(default_factory=dict)
-
-    def ranks(self, pa: int, pb: int) -> bool:
-        """Whether the group orders pa against pb: two members always, a
-        pair with a spectator until every member's role is done."""
-        if pa in self.members and pb in self.members:
-            return True
-        if len(self.role_done) == len(self.members):
-            return False
-        ranked = self.members + self.spectators
-        return pa in ranked and pb in ranked
 
 
 class CoordinationTracker:
@@ -327,6 +318,7 @@ class CoordinationTracker:
         self.dt = dt
         self._groups: dict[int, _Group] = {}   # gid order: oldest first
         self._next_gid = 0
+        self._order: list[int] = []   # zone precedence, highest priority first
 
     # -- small per-platoon helpers -----------------------------------------
 
@@ -398,18 +390,27 @@ class CoordinationTracker:
             by_pid[view.pid] = view
 
         completed = self._update_groups(by_pid, t)
+        self._order = [pid for pid in self._order if pid in by_pid]
+        pairs = []   # contested pairs, and whether each side is committed
+        for pa, pb in combinations(sorted(by_pid), 2):
+            va, vb = by_pid[pa], by_pid[pb]
+            if self._contested(va, vb):
+                pairs.append((va, vb, self._committed(va, self._region(va, vb)),
+                              self._committed(vb, self._region(vb, va))))
+        committed = {view.pid for va, vb, ca, cb in pairs
+                     for view, held in ((va, ca), (vb, cb)) if held}
+        for pid in sorted(committed - set(self._order)):
+            self._order.insert(0, pid)   # a new commitment goes to the front
+        triggered = self._form_groups(pairs, by_pid, t, decide_fn)
 
         bars: dict[int, float | None] = {v.pid: None for v in views}
         blocking: dict[int, set] = {v.pid: set() for v in views}
-        edges = []
-
-        pids = sorted(by_pid)
-        for i, pa in enumerate(pids):
-            for pb in pids[i + 1:]:
-                self._classify_pair(by_pid[pa], by_pid[pb], bars, blocking, edges)
-
-        triggered = self._form_groups(by_pid, edges, t, decide_fn)
-        self._group_bars(by_pid, bars, blocking)
+        rank = {pid: i for i, pid in enumerate(self._order)}
+        for va, vb, ca, cb in pairs:
+            if not (ca or cb) and (va.pid not in rank or vb.pid not in rank):
+                continue  # free until both are ordered
+            first, second = sorted((va, vb), key=lambda v: rank.get(v.pid, math.inf))
+            self._give_way(first, second, bars, blocking)
         self._check_safety(by_pid, bars, t)
 
         labels = {}
@@ -480,24 +481,6 @@ class CoordinationTracker:
         return (ra is not None and not self._passed(va, ra)
                 and not self._passed(vb, self._region(vb, va)))
 
-    def _ranking_group(self, pa: int, pb: int):
-        """The oldest group that ranks the pair; it alone orders the two."""
-        return next((group for group in self._groups.values()
-                     if group.ranks(pa, pb)), None)
-
-    def _classify_pair(self, va: PlatoonView, vb: PlatoonView,
-                       bars: dict, blocking: dict, edges: list):
-        if (not self._contested(va, vb)
-                or self._ranking_group(va.pid, vb.pid) is not None):
-            return  # free, or ranked and ordered by _group_bars
-        ra, rb = self._region(va, vb), self._region(vb, va)
-        if self._committed(va, ra):
-            self._give_way(va, vb, bars, blocking)
-        elif self._committed(vb, rb):
-            self._give_way(vb, va, bars, blocking)
-        elif self._in_envelope(va, ra) and self._in_envelope(vb, rb):
-            edges.append((va.pid, vb.pid))
-
     def _give_way(self, first: PlatoonView, second: PlatoonView,
                   bars: dict, blocking: dict):
         """`second` waits before the region it shares with `first`.
@@ -519,14 +502,18 @@ class CoordinationTracker:
             bars[waiter.pid] = bar
         blocking[waiter.pid].add(holder.pid)
 
-    def _form_groups(self, by_pid: dict, edges: list, t: float,
+    def _form_groups(self, pairs: list, by_pid: dict, t: float,
                      decide_fn) -> list:
-        if not edges:
-            return []
+        """Order the platoons of every undecided pair: not both ordered,
+        neither committed, both in the envelope."""
         adjacency: dict[int, set] = {}
-        for a, b in edges:
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
+        for va, vb, ca, cb in pairs:
+            if (ca or cb or va.pid in self._order and vb.pid in self._order
+                    or not self._in_envelope(va, self._region(va, vb))
+                    or not self._in_envelope(vb, self._region(vb, va))):
+                continue
+            adjacency.setdefault(va.pid, set()).add(vb.pid)
+            adjacency.setdefault(vb.pid, set()).add(va.pid)
         seen: set[int] = set()
         triggered = []
         for root in sorted(adjacency):
@@ -540,26 +527,11 @@ class CoordinationTracker:
                 seen.add(node)
                 component.append(node)
                 stack.extend(adjacency[node] - seen)
-            group_pids, spectators = self._cap_component(component, by_pid)
-            group_pids, dropped = self._drop_cogrouped(group_pids)
-            if len(group_pids) < 2:
-                continue
-            triggered.append(self._open_group(group_pids, spectators + dropped,
-                                              by_pid, t, decide_fn))
+            members, left_out = self._cap_component(component, by_pid)
+            if any(pid not in self._order for pid in members):
+                triggered.append(self._open_group(members, by_pid, t, decide_fn))
+            self._order.extend(pid for pid in left_out if pid not in self._order)
         return triggered
-
-    def _drop_cogrouped(self, group_pids: list):
-        """Two platoons already ranked against each other must not be ranked
-        again by a second decision; contradictory orders would wedge both."""
-        dropped = []
-        kept: list[int] = []
-        for pid in group_pids:
-            if any(self._ranking_group(pid, other) is not None
-                   for other in kept):
-                dropped.append(pid)
-            else:
-                kept.append(pid)
-        return kept, dropped
 
     def _cap_component(self, component: list, by_pid: dict):
         if len(component) <= K_MAX:
@@ -578,8 +550,28 @@ class CoordinationTracker:
         chosen = ranked[:K_MAX]
         return sorted(chosen, key=lambda p: by_pid[p].movement), ranked[K_MAX:]
 
-    def _open_group(self, members: list, spectators: list, by_pid: dict,
-                    t: float, decide_fn) -> int:
+    def _admissible(self, members: list) -> np.ndarray:
+        """valid_action_mask, narrowed to the permutations that keep the
+        members already in the zone order in that order."""
+        mask = valid_action_mask(len(members))
+        fixed = [pid for pid in self._order if pid in members]
+        for action in np.flatnonzero(mask):
+            chosen = order_from_action(action, members)
+            mask[action] = [pid for pid in chosen if pid in fixed] == fixed
+        return mask
+
+    def _merge(self, chosen: list):
+        """Each new platoon goes just before the next ordered one that
+        follows it in `chosen`, or last if none does."""
+        anchor = None
+        for pid in reversed(chosen):
+            if pid not in self._order:
+                at = len(self._order) if anchor is None else self._order.index(anchor)
+                self._order.insert(at, pid)
+            anchor = pid
+
+    def _open_group(self, members: list, by_pid: dict, t: float,
+                    decide_fn) -> int:
         k = len(members)
         group_infos = []
         for pid in members:
@@ -591,11 +583,11 @@ class CoordinationTracker:
                   if pid not in members]
         state = encode_coordination_state(self.raster.grid.granularity,
                                           group_infos, others, self.params.v_max)
-        mask = valid_action_mask(k)
+        mask = self._admissible(members)
         action = int(decide_fn(state, mask, list(members)))
         if not mask[action]:
             raise ValueError(f"decision {action} is masked for a group of {k}")
-        order = order_from_action(action, members)
+        self._merge(order_from_action(action, members))
 
         for pid in members:
             # a fresh trigger is the follow-on state of this platoon's newest
@@ -606,24 +598,9 @@ class CoordinationTracker:
                 prev[-1].next_mask[pid] = mask
         gid = self._next_gid
         self._next_gid += 1
-        self._groups[gid] = _Group(gid=gid, members=list(members), order=order,
-                                   state=state, action=action, t0=t,
-                                   spectators=spectators, role_done={},
-                                   exited={})
+        self._groups[gid] = _Group(gid=gid, members=list(members), state=state,
+                                   action=action, t0=t, role_done={}, exited={})
         return gid
-
-    def _group_bars(self, by_pid: dict, bars: dict, blocking: dict):
-        for group in self._groups.values():
-            ranked = group.order + group.spectators
-            for rank, pid in enumerate(ranked):
-                view = by_pid.get(pid)
-                if view is None or pid in group.role_done:
-                    continue
-                for higher in ranked[:rank]:
-                    other = by_pid.get(higher)
-                    if (other is not None and self._contested(other, view)
-                            and self._ranking_group(higher, pid) is group):
-                        self._give_way(other, view, bars, blocking)
 
     def _check_safety(self, by_pid: dict, bars: dict, t: float):
         for pid, bar in bars.items():

@@ -106,6 +106,16 @@ def test_random_priority_decider_respects_mask():
         assert all(mask[a] for a in actions)
         # every one of the k! orders is reachable
         assert len(actions) == int(mask.sum())
+    # masks narrowed to the orders that keep platoon 1 ahead of platoon 2
+    # (k = 3: 3 of 6) or 1, 2, 3 in that order (k = 4: 4 of 24)
+    for members, fixed in (([1, 2, 3], [1, 2]), ([1, 2, 3, 4], [1, 2, 3])):
+        mask = valid_action_mask(len(members))
+        for a in np.flatnonzero(mask):
+            order = order_from_action(a, members)
+            mask[a] = [p for p in order if p in fixed] == fixed
+        assert int(mask.sum()) == {3: 3, 4: 4}[len(members)]
+        actions = Counter(decide(None, mask, members) for _ in range(400))
+        assert set(actions) == set(np.flatnonzero(mask).tolist())
 
 
 # -- Webster fixed-time plan -----------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Experiment driver smoke test: the granularity entry on a short desk run.
+"""Experiment driver smoke tests: the granularity and faults entries on a
+short desk run.
 
 The driver lives outside the package, so it is loaded by path.  The full
-grid (every granularity, five seeds) trains two 120 s episodes per cell.
+granularity grid (every granularity, five seeds) trains two 120 s episodes
+per cell; the faults grid is cut to one flow and one seed.
 """
 
 import dataclasses
@@ -13,6 +15,8 @@ import numpy as np
 
 from platoonsim import training
 from platoonsim.config import GRANULARITIES, SimConfig
+from platoonsim.formation import FactorNormalizer
+from platoonsim.simulation import Simulation
 
 RUN = Path(__file__).resolve().parent.parent / "claims" / "run.py"
 BASE = SimConfig.desk(condition=2, T=120.0, M=2, calibration_episodes=1,
@@ -54,3 +58,30 @@ def test_granularity_entry_trains_every_cell_and_round_trips(tmp_path):
         "final_travel_time": float(np.mean([m.mean_travel_time for m in log
                                             if m.exited])),
     }
+
+
+def test_faults_entry_runs_every_policy_and_stub_cell(tmp_path):
+    driver = _load()
+    driver.FLOWS = (1.0,)
+    driver.REPLICATES = 1
+    cfg = tmp_path / "smoke.cfg"
+    BASE.save(cfg)
+    out = tmp_path / "out"
+    assert driver.main(["--config", str(cfg), "--out", str(out), "faults"]) == 0
+    table = json.loads((out / "claims.json").read_text())["entries"]["faults"]
+    assert set(table) == {f"{label}-flow1.0-seed4" for label in (
+        "coor-plt", "fp", "rc", "size1-first", "size1-random", "size3-first",
+        "size3-random")}
+    for cell in table.values():
+        assert cell["outcome"] == "completed" and cell["step"] is None
+        assert set(cell) == {"outcome", "step", "deadlock_events",
+                             "deadlock_removed"}
+
+    # one cell again, straight through Simulation
+    m = Simulation(BASE.override(flow_scale=1.0), policy="rc", seed=4,
+                   layer1=driver.FixedSize(1),
+                   normalizer=FactorNormalizer(dict(driver.STUB_RANGES))).run()
+    assert table["size1-random-flow1.0-seed4"] == {
+        "outcome": "completed", "step": None,
+        "deadlock_events": m.deadlock_events,
+        "deadlock_removed": m.deadlock_removed}

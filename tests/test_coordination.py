@@ -492,17 +492,41 @@ def test_spectators_wait_for_the_group_and_for_each_other():
                                "west-north", "south-north", "east-west"],
                               start=1):
         sim.add(pid, mov, -20.0, 10.0)
-    # rotate the set of four; the left-out pair later takes its first order
+    # rotate the set of four; the left-out pair is ordered with it and
+    # never needs a decision of its own
     sim.run(60, pick=lambda s, m, mem: (9 if m.all()
                                         else int(np.flatnonzero(m)[0])))
 
-    assert sim.decisions[0]["members"] == [1, 2, 3, 4]
+    assert [d["members"] for d in sim.decisions] == [[1, 2, 3, 4]]
     plan0 = sim.plans[0][1]
     assert plan0.blocking[6] == {2, 4}
     assert plan0.blocking[5] == {1, 2, 6}
     for t, plan in sim.plans:
         assert not any(a in plan.blocking[b]
                        for a, waits in plan.blocking.items() for b in waits), t
+    assert not sim.platoons
+
+
+def test_second_group_may_not_reorder_platoons_already_ordered():
+    # the first group puts 4 ahead of 1; the second contains both and a new
+    # platoon, and may only choose the three orders that keep 4 ahead of 1
+    sim = Scenario()
+    sim.add(1, "west-east", -50.0, 10.0)
+    sim.add(2, "south-north", -20.0, 0.0)
+    sim.add(3, "east-south", -50.0, 10.0)
+    sim.add(4, "north-east", -10.0, 0.0)
+    sim.run(60, pick=lambda s, m, mem: int(np.flatnonzero(m)[0]))
+
+    assert [(d["t"], d["members"], d["action"]) for d in sim.decisions] == [
+        (1.0, [3, 4, 1], 0), (2.0, [4, 2, 1], 0)]
+    second = sim.decisions[1]
+    assert np.flatnonzero(second["mask"]).tolist() == [0, 2, 6]
+    for action in np.flatnonzero(second["mask"]):
+        order = order_from_action(action, second["members"])
+        assert order.index(4) < order.index(1)
+    # 2 is merged just before 1, the next ordered member after it: 3, 4, 2, 1
+    plan2 = dict(sim.plans)[2.0]
+    assert plan2.blocking == {1: {2, 3}, 2: {3, 4}, 3: set(), 4: {3}}
     assert not sim.platoons
 
 

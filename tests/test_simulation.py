@@ -2,8 +2,9 @@
 
 Hand-built scenarios replace the Poisson stream with a scripted arrival
 schedule so the expected platoon behavior is known exactly.  Deadlocks come
-from such a schedule too: three single-vehicle platoons whose commitments
-close a wait-for cycle through the real tracker.
+from such a schedule too: three single-vehicle platoons that close a
+wait-for cycle through the real tracker, where the zone order and one
+physics reversal disagree.
 """
 
 import json
@@ -314,10 +315,13 @@ def test_calibration_observes_instead_of_rewarding():
 
 
 def test_deadlock_removal_keeps_conservation():
-    # Three lone fp platoons leave by the patience escape.  East-south and
-    # west-east never meet the two-sided envelope trigger, so they are never
-    # grouped; west-east commits one step later, and its commitment edges
-    # with the ranked group {east-south, south-north} close a cycle.
+    # Three lone fp platoons leave by the patience escape.  The group
+    # {east-south, south-north} orders east-south first; west-east, never in
+    # the envelope with east-south, commits one step later and goes to the
+    # front of the zone order.  South-north is already committed to the
+    # region it shares with west-east, so that pair reverses: west-east
+    # waits for south-north, which waits for east-south, which waits for
+    # west-east.
     sim = scripted_sim({0.0: {"east-south": 1, "south-north": 1,
                               "west-east": 1}}, policy="fp", T=120.0)
     m = sim.run()
@@ -398,6 +402,29 @@ def test_paper_flow_orders_the_platoons_a_crowded_set_leaves_out():
     # later and the tracker raised SafetyFault
     m = Simulation(SimConfig.desk(condition=2, flow_scale=1.0), policy="rc",
                    seed=1, calibrating=True, normalizer=FactorNormalizer()).run()
+    m.check_conservation()
+
+
+class FirstOrderAgent:
+    """Layer-2 stub: always the first order the mask admits."""
+
+    def act(self, state, mask, greedy=False):
+        return int(np.flatnonzero(mask)[0])
+
+
+def test_paper_flow_size_one_platoons_never_share_a_cell(tmp_path):
+    # at step 67 every movement has a released size-1 platoon; a fresh
+    # release and a platoon standing before their shared region were both
+    # in the envelope, the capped conflict set ordered neither, and both
+    # drove into one cell (SafetyAuditError)
+    cfg = SimConfig.desk(condition=2, flow_scale=1.0, T=120.0)
+    m = Simulation(cfg, policy="coor-plt", seed=11,
+                   layer1=StubSizingAgent(size=1), layer2=FirstOrderAgent(),
+                   normalizer=FactorNormalizer({"wait": (0, 100),
+                                                "delay": (0, 1),
+                                                "fuel": (0, 500)}),
+                   audit_dump_dir=tmp_path).run()
+    assert m.steps == 120
     m.check_conservation()
 
 
